@@ -8,6 +8,7 @@ the paper-shaped rows survive pytest's output capture.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,17 @@ def write_report(out_dir: Path, name: str, text: str) -> None:
     path = out_dir / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")
     print(f"\n[{name}] written to {path}\n{text}")
+
+
+def merge_bench_json(path: Path, fields: dict) -> None:
+    """Fold ``fields`` into the BENCH JSON at ``path``, keeping other keys."""
+    payload = {}
+    if path.is_file():
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            payload = {}
+    payload.update(fields)
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )

@@ -19,7 +19,6 @@ single-core machines); timings land in ``BENCH_grid.json`` beside the
 other sweep-engine numbers.
 """
 
-import json
 import multiprocessing
 import os
 import time
@@ -27,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import write_report
+from benchmarks.conftest import merge_bench_json, write_report
 from repro.engine.plan import grid_plan, snapshot_fingerprint
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
@@ -44,20 +43,6 @@ WARM_TRIALS = 2
 # Two drains of an even grid should approach 2x; 1.6x leaves headroom
 # for claim/poll overhead and an uneven point-cost split.
 MIN_FLEET_DRAIN_SPEEDUP = 1.6
-
-
-def _merge_bench_json(fields: dict) -> None:
-    """Fold ``fields`` into BENCH_grid.json, keeping other tests' keys."""
-    payload = {}
-    if BENCH_JSON.is_file():
-        try:
-            payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(fields)
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _fleet_plan(context, n_trials: int = N_TRIALS):
@@ -150,7 +135,8 @@ def test_two_process_fleet_drain(context, out_dir, tmp_path):
         title=f"claim-coordinated fleet drain ({cpus} core(s))",
     )
     write_report(out_dir, "bench-fleet-drain", report)
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "fleet_drain_n_points": len(plan),
             "fleet_drain_n_trials": N_TRIALS,

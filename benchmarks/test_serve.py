@@ -20,13 +20,12 @@ so successive PRs can diff serving performance.
 
 from __future__ import annotations
 
-import json
 import statistics
 import threading
 import time
 from pathlib import Path
 
-from benchmarks.conftest import write_report
+from benchmarks.conftest import merge_bench_json, write_report
 from repro.api import ReleaseRequest
 from repro.engine.store import ResultStore
 from repro.serve import (
@@ -50,20 +49,6 @@ UNIQUE_RELEASES = 16
 N_TRIALS = 128  # a realistic released product averages many trials
 REPLAY_ROUNDS = 3
 MIN_REPLAY_SPEEDUP = 5.0
-
-
-def _merge_bench_json(fields: dict) -> None:
-    """Fold ``fields`` into BENCH_serve.json, keeping existing keys."""
-    payload = {}
-    if BENCH_JSON.is_file():
-        try:
-            payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(fields)
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _request(seed: int) -> ReleaseRequest:
@@ -200,7 +185,8 @@ def test_release_service_under_concurrent_load(out_dir, tmp_path):
     )
     write_report(out_dir, "bench-serve", report)
 
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "scenario": SCENARIO,
             "n_clients": N_CLIENTS,

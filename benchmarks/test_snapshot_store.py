@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import write_report
+from benchmarks.conftest import merge_bench_json, write_report
 from repro.data.generator import generate
 from repro.scenarios import SnapshotStore, dataset_fingerprint, scenario_config
 from repro.storage import FilesystemObjectStore, RemoteObjectBackend
@@ -60,20 +60,6 @@ def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
-
-
-def _merge_bench_json(fields: dict) -> None:
-    """Fold ``fields`` into BENCH_snapshot.json, keeping existing keys."""
-    payload = {}
-    if BENCH_JSON.is_file():
-        try:
-            payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(fields)
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def test_snapshot_store_wall_clock(out_dir, tmp_path):
@@ -109,7 +95,8 @@ def test_snapshot_store_wall_clock(out_dir, tmp_path):
     )
     write_report(out_dir, "bench-snapshot-store", report)
 
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "scenario": SCENARIO,
             "fingerprint": fingerprint,
@@ -193,7 +180,8 @@ def test_remote_open_wall_clock(out_dir, tmp_path):
     )
     write_report(out_dir, "bench-snapshot-remote", report)
 
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "remote_scenario": REMOTE_SCENARIO,
             "remote_fingerprint": fingerprint,
@@ -282,7 +270,8 @@ def test_sharded_build_wall_clock(out_dir, tmp_path):
     )
     write_report(out_dir, "bench-snapshot-sharded", report)
 
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "sharded_fingerprint": fingerprint,
             "sharded_n_jobs": n_jobs,

@@ -16,11 +16,10 @@ Timings land in ``BENCH_grid.json`` at the repo root (the sweep-engine
 companion of ``BENCH_trials.json``) so successive PRs can diff them.
 """
 
-import json
 import time
 from pathlib import Path
 
-from benchmarks.conftest import write_report
+from benchmarks.conftest import merge_bench_json, write_report
 from repro.api.session import ReleaseSession
 from repro.engine.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.engine.plan import grid_plan, snapshot_fingerprint
@@ -45,20 +44,6 @@ FLEET_N_TRIALS = 200
 # A cross-machine replay pays remote downloads instead of Monte Carlo
 # draws; it must still beat recomputing by a wide margin.
 MIN_FLEET_REPLAY_SPEEDUP = 3.0
-
-
-def _merge_bench_json(fields: dict) -> None:
-    """Fold ``fields`` into BENCH_grid.json, keeping other tests' keys."""
-    payload = {}
-    if BENCH_JSON.is_file():
-        try:
-            payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(fields)
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _bench_plan(context):
@@ -161,7 +146,8 @@ def test_sweep_engine_wall_clock(context, out_dir, tmp_path):
     )
     write_report(out_dir, "sweep-engine", report)
 
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "grid": {
                 "points": len(plan),
@@ -272,7 +258,8 @@ def test_fleet_replay_wall_clock(bench_config, out_dir, tmp_path, monkeypatch):
     )
     write_report(out_dir, "sweep-fleet-replay", report)
 
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "fleet": {
                 "points": len(plan),

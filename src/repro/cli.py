@@ -175,8 +175,8 @@ def _add_engine_arguments(parser, *, claims: bool = True):
     """The sweep-engine knobs shared by figures/tables/sweep.
 
     ``claims=False`` omits the cooperative-drain flags for commands
-    whose compute does not go through ``run_plan``'s per-point path
-    (Table 3 drains a request grid, not a sweep plan).
+    whose compute does not go through ``run_plan`` (Table 3 drains a
+    request grid, not a sweep plan).
     """
     parser.add_argument(
         "--snapshot-dir",
@@ -215,23 +215,22 @@ def _add_engine_arguments(parser, *, claims: bool = True):
     parser.add_argument(
         "--fused",
         nargs="?",
-        const="group",
+        const="family",
         default=False,
-        choices=("group", "family"),
-        help="share unit-noise draws across the grid: 'group' (the "
-        "default when the flag is given bare) draws once per "
-        "(mechanism, alpha) epsilon row, 'family' draws once per "
-        "mechanism's whole alpha x epsilon grid (statistically "
-        "equivalent to per-point evaluation, different RNG streams, "
-        "cached under distinct keys)",
+        choices=("family",),
+        help="share one unit-noise draw across each mechanism's whole "
+        "alpha x epsilon grid ('family', also the bare flag): "
+        "statistically equivalent to per-point evaluation, different "
+        "RNG streams, cached under distinct keys",
     )
     if claims:
         parser.add_argument(
             "--claim",
             action="store_true",
             help="coordinate with other drains of the same plan through "
-            "lease files on the result store: each missing point is "
-            "claimed before it is computed, so N concurrent processes "
+            "lease files on the result store: each missing point (each "
+            "mechanism family under --fused) is claimed before it is "
+            "computed, so N concurrent processes "
             "(or machines, via --store-url) partition the grid instead "
             "of each computing all of it; implies --resume and "
             "requires the result store",
@@ -658,11 +657,10 @@ def _claim_options_from_args(args) -> dict:
         raise SystemExit(
             "--claim coordinates through the result store; drop --no-cache"
         )
-    if args.fused:
-        raise SystemExit(
-            "--claim runs on the per-point path; drop --fused"
-        )
-    return {"claim": True, "claim_ttl_s": getattr(args, "claim_ttl", None)}
+    ttl = getattr(args, "claim_ttl", None)
+    if ttl is not None and ttl <= 0:
+        raise SystemExit(f"--claim-ttl must be > 0 seconds, got {ttl}")
+    return {"claim": True, "claim_ttl_s": ttl}
 
 
 def _engine_from_args(args):
@@ -702,10 +700,10 @@ def _print_cache_summary(store: ResultStore | None) -> None:
 
 
 def run_figures(args, session: ReleaseSession | None = None) -> list[Path]:
+    claim_options = _claim_options_from_args(args)
     if session is None:
         session = _session_from_args(args, trials_batch=args.trials_batch)
     executor, store = _engine_from_args(args)
-    claim_options = _claim_options_from_args(args)
     out = _out_dir_from_args(args)
     written = []
     for name, generator in _selected_figures(args.only).items():
@@ -758,6 +756,7 @@ def run_tables(args, session: ReleaseSession | None = None) -> list[Path]:
 
 def run_sweep(args, session: ReleaseSession | None = None) -> list[Path]:
     """Run an ad-hoc grid through the sweep engine; write text + JSON."""
+    claim_options = _claim_options_from_args(args)
     if session is None:
         session = _session_from_args(args)
     executor, store = _engine_from_args(args)
@@ -781,7 +780,7 @@ def run_sweep(args, session: ReleaseSession | None = None) -> list[Path]:
         resume=args.resume,
         fused=args.fused,
         profile=args.profile,
-        **_claim_options_from_args(args),
+        **claim_options,
     )
     out = _out_dir_from_args(args)
     text_path = out / f"sweep-{args.tag}.txt"

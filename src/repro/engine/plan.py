@@ -17,6 +17,11 @@ resumable execution:
   already-computed point across processes and invocations.  Execution
   knobs that cannot change the value (``batch_size``, worker count) are
   deliberately excluded from the hash.
+
+:func:`fused_families` regroups a plan's fusable points into
+:class:`FusedFamily` buckets — one per mechanism's α×ε grid — for the
+family path, which serves every member from one unit-noise draw and
+stores it under a family-scoped member key.
 """
 
 from __future__ import annotations
@@ -204,74 +209,20 @@ class SweepPlan:
 
 
 @dataclass(frozen=True)
-class FusedGroup:
-    """One (workload, mechanism, metric, α) bucket of a plan's ε points.
-
-    The fused evaluation path (``run_plan(fused=True)``) draws **one**
-    unit-noise matrix per group — Theorem 8.4 releases are
-    ``q(x) + S(x)/a · Z`` with ``Z`` independent of ε — and serves every
-    member ε from it.  A member's value therefore depends on the whole
-    group, not just its own spec: ``group_seed`` derives from the first
-    member's seed *and* the group's ε tuple, and :meth:`member_key`
-    mixes both into the member's content address, so fused results can
-    never collide with (or be replayed as) unfused per-point results nor
-    with a fused run over a different ε grid.
-
-    ``indices`` are positions into the owning plan's ``points``, in plan
-    order; ``epsilons`` aligns with them.
-    """
-
-    workload: str
-    mechanism: str
-    metric: str
-    alpha: float
-    delta: float
-    n_trials: int
-    batch_size: int | None
-    indices: tuple[int, ...]
-    epsilons: tuple[float, ...]
-    group_seed: int | None
-
-    @property
-    def label(self) -> str:
-        return (
-            f"{self.workload}:{self.mechanism}:alpha={self.alpha}:"
-            f"eps={list(self.epsilons)}"
-        )
-
-    def _fused_token(self) -> dict:
-        return {
-            "group_seed": self.group_seed,
-            "epsilons": list(self.epsilons),
-        }
-
-    def member_key(self, spec: PointSpec, fingerprint: str) -> str:
-        """Content-address of one member point under fused evaluation."""
-        payload = spec.content(fingerprint)
-        payload["fused"] = self._fused_token()
-        return content_key(payload)
-
-    def member_content(self, spec: PointSpec, fingerprint: str) -> dict:
-        payload = spec.content(fingerprint)
-        payload["fused"] = self._fused_token()
-        return payload
-
-
-@dataclass(frozen=True)
 class FusedFamily:
     """One (workload, mechanism, metric) bucket of a plan's α×ε points.
 
-    The family evaluation path (``run_plan(fused="family")``) extends
-    the :class:`FusedGroup` idea across the α axis: Theorem 8.4 releases
-    are ``q(x) + S(x,α)/a(ε) · Z`` with the unit noise ``Z`` independent
-    of *both* α and ε — α lives only in the smooth-sensitivity envelope
-    ``max(xv·α, 1)`` — so **one** unit draw serves the whole α×ε
-    sub-grid of a mechanism.  A member's value depends on the family
-    draw, hence on the family composition: ``family_seed`` derives from
-    the first member's seed and the full (α, ε) member list, and
+    The family evaluation path (``run_plan(fused="family")``) draws
+    **one** unit-noise matrix per family: Theorem 8.4 releases are
+    ``q(x) + S(x,α)/a(ε) · Z`` with the unit noise ``Z`` independent of
+    *both* α and ε — α lives only in the smooth-sensitivity envelope
+    ``max(xv·α, 1)`` — so one draw serves the whole α×ε sub-grid of a
+    mechanism.  A member's value depends on the family draw, hence on
+    the family composition: ``family_seed`` derives from the first
+    member's seed and the full (α, ε) member list, and
     :meth:`member_key` embeds both into the member's content address.
     Family results therefore never collide with the default per-point
-    keys nor with the ε-only ``fused`` member keys.
+    keys.
 
     The unit draw depends only on ``(family_seed, n_trials, n_cells)``
     — not on which members are reduced from it — so a resumed family
@@ -311,6 +262,20 @@ class FusedFamily:
             "members": [[a, e] for a, e in self.members],
         }
 
+    def key(self, fingerprint: str) -> str:
+        """Content-address of the whole family (its claim lease key)."""
+        return content_key(
+            {
+                "fingerprint": fingerprint,
+                "workload": self.workload,
+                "mechanism": self.mechanism,
+                "metric": self.metric,
+                "delta": self.delta,
+                "n_trials": self.n_trials,
+                "family": self._family_token(),
+            }
+        )
+
     def member_key(self, spec: PointSpec, fingerprint: str) -> str:
         """Content-address of one member point under family evaluation."""
         return content_key(self.member_content(spec, fingerprint))
@@ -336,77 +301,17 @@ def _mechanism_unit_noise(name: str) -> str | None:
     return getattr(spec, "unit_noise", None)
 
 
-def fused_groups(plan: SweepPlan) -> tuple[list[FusedGroup], list[int]]:
-    """Bucket a plan's fusable points into per-α groups.
-
-    Returns ``(groups, leftover)``: every plan index lands in exactly one
-    group's ``indices`` or in ``leftover`` (truncated-laplace points and
-    mechanisms without a unit-noise family evaluate per point even under
-    ``fused=True``).  Grouping is deterministic — buckets appear in
-    first-member plan order and members keep plan order within a bucket
-    — so group seeds and member keys are stable across runs.
-    """
-    buckets: dict[tuple, list[int]] = {}
-    leftover: list[int] = []
-    for index, spec in enumerate(plan.points):
-        if (
-            spec.mechanism == TRUNCATED_LAPLACE
-            or _mechanism_unit_noise(spec.mechanism) is None
-        ):
-            leftover.append(index)
-            continue
-        bucket = (
-            spec.workload,
-            spec.mechanism,
-            spec.metric,
-            spec.n_trials,
-            spec.batch_size,
-            spec.alpha,
-            spec.delta,
-        )
-        buckets.setdefault(bucket, []).append(index)
-
-    groups = []
-    for bucket, indices in buckets.items():
-        workload, mechanism, metric, n_trials, batch_size, alpha, delta = bucket
-        epsilons = tuple(plan.points[i].epsilon for i in indices)
-        first_seed = plan.points[indices[0]].seed
-        group_seed = (
-            None
-            if first_seed is None
-            else derive_seed(
-                first_seed,
-                "fused:{}:{}:{}".format(
-                    mechanism, alpha, ",".join(repr(e) for e in epsilons)
-                ),
-            )
-        )
-        groups.append(
-            FusedGroup(
-                workload=workload,
-                mechanism=mechanism,
-                metric=metric,
-                alpha=alpha,
-                delta=delta,
-                n_trials=n_trials,
-                batch_size=batch_size,
-                indices=tuple(indices),
-                epsilons=epsilons,
-                group_seed=group_seed,
-            )
-        )
-    return groups, leftover
-
-
 def fused_families(plan: SweepPlan) -> tuple[list[FusedFamily], list[int]]:
     """Bucket a plan's fusable points into whole α×ε families.
 
-    The family analogue of :func:`fused_groups`: the bucket key drops α
-    (and ε), so every (α, ε) point of one (workload, mechanism, metric,
-    trials, batch, δ) combination shares a single unit draw.  Returns
-    ``(families, leftover)`` with the same determinism guarantees —
-    buckets in first-member plan order, members in plan order within a
-    bucket — so family seeds and member keys are stable across runs.
+    Every (α, ε) point of one (workload, mechanism, metric, trials,
+    batch, δ) combination shares a single unit draw.  Returns
+    ``(families, leftover)``: every plan index lands in exactly one
+    family's ``indices`` or in ``leftover`` (truncated-laplace points
+    and mechanisms without a unit-noise family evaluate per point even
+    under ``fused="family"``).  Bucketing is deterministic — buckets in
+    first-member plan order, members in plan order within a bucket — so
+    family seeds and member keys are stable across runs.
     """
     buckets: dict[tuple, list[int]] = {}
     leftover: list[int] = []

@@ -1,23 +1,30 @@
 """Sweep orchestration: plans in, points out — parallel and resumable.
 
-:func:`run_plan` is the engine's front door.  Given a
-:class:`~repro.engine.plan.SweepPlan` and a session it:
+:func:`run_plan` is the engine's front door.  It cuts a
+:class:`~repro.engine.plan.SweepPlan` into **work units** — one per
+point, or, with ``fused="family"``, one per
+:class:`~repro.engine.plan.FusedFamily` whose single unit-noise draw
+serves a mechanism's whole α×ε grid — and runs one loop over them:
 
-1. consults the :class:`~repro.engine.store.ResultStore` (when resuming)
-   and keeps every already-computed point — a resumed figure recomputes
-   only what is missing;
-2. fans the missing points through an
-   :class:`~repro.engine.executors.Executor` (serial by default; thread
-   or process pools for parallel sweeps) via the non-debiting
-   :meth:`~repro.api.ReleaseSession.evaluate_point_outcome`, so workers
-   never touch a ledger;
-3. records each **computed** point's spend on the parent session's
-   ledger and then persists the point to the store, walking plan order
+1. consult the :class:`~repro.engine.store.ResultStore` (when resuming)
+   member by member and keep every already-computed point — a resumed
+   figure recomputes only what is missing;
+2. with ``claim=True``, adopt members other drains published and claim
+   each unowned unit on the store's lease board;
+3. fan the units through an :class:`~repro.engine.executors.Executor`
+   (serial by default; thread or process pools for parallel sweeps) via
+   the non-debiting session outcome methods, so workers never touch a
+   ledger;
+4. record each **computed** point's spend on the parent session's
+   ledger and then persist the point to the store, walking plan order
    — accounting is exact and deterministic no matter which executor ran
-   the points, and a raise-mode overdraft aborts before the offending
-   point is ever cached.  Cache hits debit nothing: re-serving a stored
-   release consumes no new privacy budget (the noise was drawn, and
-   paid for, when the point was first computed and stored).
+   the units, and a raise-mode overdraft aborts before the offending
+   point is ever cached;
+5. release a unit's lease only after all its members are stored.
+
+Cache hits debit nothing: re-serving a stored release consumes no new
+privacy budget (the noise was drawn, and paid for, when the point was
+first computed and stored).
 """
 
 from __future__ import annotations
@@ -34,22 +41,20 @@ from repro.engine.executors import SerialExecutor, resolve_executor
 from repro.engine.plan import (
     TRUNCATED_LAPLACE,
     FusedFamily,
-    FusedGroup,
     PointSpec,
     SweepPlan,
     fused_families,
-    fused_groups,
 )
 from repro.engine.points import FigureSeries, SeriesPoint
-from repro.engine.store import ResultStore
+from repro.engine.store import ResultStore, content_key
 
 __all__ = [
     "SweepOutcome",
     "run_plan",
     "evaluate_point_spec",
-    "evaluate_fused_group",
     "evaluate_fused_family",
     "resolve_workload",
+    "resolve_fused",
     "figure_series",
 ]
 
@@ -97,28 +102,6 @@ def evaluate_point_spec(session, spec: PointSpec):
         seed=spec.seed,
         batch_size=spec.batch_size,
     )
-
-
-def evaluate_fused_group(session, group: FusedGroup):
-    """Task function: one fused group → aligned (points, spends) lists.
-
-    Module-level (picklable by reference) like
-    :func:`evaluate_point_spec`; one unit-noise draw serves every ε of
-    the group.  Spends come back detached — the parent merges them.
-    """
-    workload = resolve_workload(group.workload)
-    values, spends = session.evaluate_fused_outcome(
-        workload,
-        group.mechanism,
-        alpha=group.alpha,
-        delta=group.delta,
-        epsilons=list(group.epsilons),
-        metrics=(group.metric,),
-        n_trials=group.n_trials,
-        seed=group.group_seed,
-        batch_size=group.batch_size,
-    )
-    return values[group.metric], spends
 
 
 def evaluate_fused_family(session, item):
@@ -250,21 +233,19 @@ def figure_series(plan: SweepPlan, points) -> FigureSeries:
     )
 
 
-def _normalize_fused(fused) -> str | None:
-    """Map the ``fused`` knob onto an evaluation mode.
-
-    ``False``/``None`` → per-point; ``True``/``"group"`` → per-(mechanism,
-    α) ε groups (the PR-8 path); ``"family"`` → whole α×ε families.
-    """
+def resolve_fused(fused) -> bool:
+    """Map the ``fused`` knob onto the family path (True) or per point."""
     if fused is None or fused is False:
-        return None
-    if fused is True or fused == "group":
-        return "group"
-    if fused == "family":
-        return "family"
-    raise ValueError(
-        f"fused must be False, True, 'group' or 'family', got {fused!r}"
-    )
+        return False
+    if fused is True or fused == "family":
+        return True
+    if fused == "group":
+        raise ValueError(
+            "fused='group' was removed: the per-(mechanism, alpha) epsilon "
+            "groups are dominated by fused='family' (one draw per whole "
+            "alpha x epsilon grid)"
+        )
+    raise ValueError(f"fused must be False, True or 'family', got {fused!r}")
 
 
 def run_plan(
@@ -294,11 +275,11 @@ def run_plan(
     ledger merge for callers doing their own accounting.
 
     ``claim=True`` turns the drain cooperative: before computing a
-    missing point this run *claims* it on the store's
+    missing work unit this run *claims* it on the store's
     :class:`~repro.runtime.ClaimBoard` (an atomic lease file beside the
     payloads), so N concurrent drains of the same plan against one
     shared store partition the grid instead of each computing all of
-    it.  Points another drain claimed are deferred: this run polls the
+    it.  Units another drain claimed are deferred: this run polls the
     store (every ``claim_poll_s`` seconds) and adopts their results as
     cache hits when they land; a claim whose owner crashed expires
     after ``claim_ttl_s`` (default
@@ -311,18 +292,15 @@ def run_plan(
     shared store already holds); the per-point values are bit-identical
     to a claimless run of the same plan.
 
-    ``fused=True`` (or ``"group"``) evaluates the plan through
-    per-(mechanism, α) :class:`~repro.engine.plan.FusedGroup`\\ s — one
-    unit-noise draw per group instead of one per point.
-    ``fused="family"`` goes further: one draw per whole
-    :class:`~repro.engine.plan.FusedFamily` α×ε grid of a mechanism,
-    with linear mechanisms reducing the entire family analytically.
-    Both fused modes draw different random bits than the default path
-    (statistically, not bit, identical) and store results under their
-    own member keys — ``fused``-token keys for groups, ``family``-token
-    keys for families — so the three paths never serve each other's
-    cached points.  The default ``fused=False`` path is bit-identical to
-    what it always produced.
+    ``fused=True`` (or ``"family"``) evaluates the plan through
+    :class:`~repro.engine.plan.FusedFamily` units — one unit-noise draw
+    per mechanism's whole α×ε grid instead of one per point, with linear
+    mechanisms reducing the entire family analytically.  The family
+    path draws different random bits than the default path
+    (statistically, not bit, identical) and stores results under
+    ``family``-token member keys, so the two paths never serve each
+    other's cached points.  The default ``fused=False`` path is
+    bit-identical to what it always produced.
 
     ``profile=True`` wraps the run in the stage profiler
     (:mod:`repro.engine.profile`); the outcome's ``profile`` field then
@@ -330,36 +308,22 @@ def run_plan(
     process-pool runs, the per-worker stage split shipped back with each
     task.
     """
+    family = resolve_fused(fused)
     if claim:
         if store is None:
             raise ValueError("claim=True requires a result store")
-        if _normalize_fused(fused) is not None:
-            raise ValueError(
-                "claim coordination runs on the per-point path; "
-                "combine --claim with fused=False"
-            )
         resume = True  # a cooperative drain must honor the shared store
-    claim_spec = (
-        None
-        if not claim
-        else {"owner": claim_owner, "ttl_s": claim_ttl_s, "poll_s": claim_poll_s}
+    if claim_ttl_s is not None and claim_ttl_s <= 0:
+        raise ValueError(f"claim_ttl_s must be > 0, got {claim_ttl_s!r}")
+    if claim_poll_s <= 0:
+        raise ValueError(f"claim_poll_s must be > 0, got {claim_poll_s!r}")
+    board = (
+        store.claim_board(owner=claim_owner, ttl_s=claim_ttl_s)
+        if claim
+        else None
     )
-    if profile:
-        with stage_profile.profiled() as prof:
-            outcome = _run_plan(
-                plan,
-                session,
-                executor=executor,
-                workers=workers,
-                store=store,
-                resume=resume,
-                merge_spend=merge_spend,
-                fused=fused,
-                claim_spec=claim_spec,
-            )
-        outcome.profile = prof.as_dict()
-        return outcome
-    return _run_plan(
+    drain = partial(
+        _drain,
         plan,
         session,
         executor=executor,
@@ -367,9 +331,126 @@ def run_plan(
         store=store,
         resume=resume,
         merge_spend=merge_spend,
-        fused=fused,
-        claim_spec=claim_spec,
+        family=family,
+        board=board,
+        poll_s=claim_poll_s,
     )
+    if not profile:
+        return drain()
+    with stage_profile.profiled() as prof:
+        outcome = drain()
+    outcome.profile = prof.as_dict()
+    return outcome
+
+
+# -- work units -----------------------------------------------------------
+
+
+@dataclass(eq=False)
+class _Unit:
+    """One task of the sweep loop: a point, or a family with a member mask.
+
+    ``indices``, ``keys`` and ``contents`` align member by member (a
+    point unit has one member); ``missing`` marks the members not yet
+    resumed, adopted or computed.  ``lease`` is the key a cooperative
+    drain claims before computing the unit: the point key for a point,
+    the family's own content key for a family.
+    """
+
+    task: PointSpec | FusedFamily
+    indices: tuple[int, ...]
+    keys: tuple[str, ...]
+    contents: tuple[dict, ...]
+    lease: str
+    missing: list[bool]
+
+    def item(self):
+        """The executor item: the spec itself, or ``(family, mask)``."""
+        if isinstance(self.task, PointSpec):
+            return self.task
+        return self.task, tuple(self.missing)
+
+
+def _plan_units(plan: SweepPlan, family: bool) -> list[_Unit]:
+    """The plan's work units, in first-member plan order.
+
+    Without ``family`` every point is its own unit.  With it, fusable
+    points group into :class:`~repro.engine.plan.FusedFamily` units and
+    the rest (truncated-laplace, mechanisms without a unit-noise
+    family) stay point units under their ordinary keys — their values
+    are identical either way, so they stay shareable with default runs.
+    """
+    fingerprint = plan.fingerprint
+    families, leftover = (
+        fused_families(plan) if family else ([], range(len(plan.points)))
+    )
+    units = []
+    for index in leftover:
+        spec = plan.points[index]
+        content = spec.content(fingerprint)
+        key = content_key(content)
+        units.append(_Unit(spec, (index,), (key,), (content,), key, [True]))
+    for fam in families:
+        contents = tuple(
+            fam.member_content(plan.points[i], fingerprint) for i in fam.indices
+        )
+        units.append(
+            _Unit(
+                fam,
+                fam.indices,
+                tuple(map(content_key, contents)),
+                contents,
+                fam.key(fingerprint),
+                [True] * len(fam.indices),
+            )
+        )
+    units.sort(key=lambda unit: unit.indices[0])
+    return units
+
+
+def _evaluate_unit(session, item):
+    """Task function: one unit's item → aligned (points, spends) lists.
+
+    Module-level (picklable by reference); it reaches the evaluators
+    through their module globals at call time.
+    """
+    if isinstance(item, PointSpec):
+        point, spend = evaluate_point_spec(session, item)
+        return [point], [spend]
+    return evaluate_fused_family(session, item)
+
+
+def _adopt(store, unit: _Unit, points: list, *, poll: bool = False) -> None:
+    """Place every stored member of ``unit`` and mark it found.
+
+    ``poll`` asks ``contains`` first: a claim round rescans the store
+    every round, and ``get`` alone would count each miss against it.
+    """
+    for m, (index, key) in enumerate(zip(unit.indices, unit.keys)):
+        if not unit.missing[m] or (poll and not store.contains(key)):
+            continue
+        payload = store.get(key)
+        if payload is not None and "point" in payload:
+            points[index] = decode_point(payload["point"])
+            unit.missing[m] = False
+
+
+def _claim(board, store, unit: _Unit, points: list) -> bool:
+    """Win ``unit``'s lease with something left to compute.
+
+    After *winning*, re-check the store: the previous holder may have
+    published and released between the adoption scan and this claim.
+    Holding the lease freezes the members (publishers store *before*
+    releasing), so the re-check is race-free — this is what makes two
+    concurrent drains compute each member exactly once.
+    """
+    if not board.try_claim(unit.lease):
+        return False
+    _adopt(store, unit, points, poll=True)
+    if any(unit.missing):
+        return True
+    board.release(unit.lease)
+    return False
 
 
 def _store_point(store, key: str, content: dict, point, spend) -> None:
@@ -384,7 +465,7 @@ def _store_point(store, key: str, content: dict, point, spend) -> None:
         )
 
 
-def _run_plan(
+def _drain(
     plan: SweepPlan,
     session,
     *,
@@ -393,428 +474,90 @@ def _run_plan(
     store: ResultStore | None,
     resume: bool,
     merge_spend: bool,
-    fused: bool | str,
-    claim_spec: dict | None = None,
+    family: bool,
+    board,
+    poll_s: float,
 ) -> SweepOutcome:
+    """The one sweep loop over work units, claimed or not.
+
+    Resume per member; then each round (a) with claims, adopts members
+    another drain published and claims every unowned unit, (b) computes
+    the round's units through the executor, (c) walks the computed
+    members in plan order — record spend, persist — and (d) releases a
+    unit's lease once all its members are stored.  Spend before store
+    means a raise-mode overdraft aborts with every stored point paid
+    for; store before release means no member is ever neither claimed
+    nor stored.  A claimless drain is a single round that never touches
+    a board; a claimed round that wins nothing sleeps ``poll_s`` and
+    rescans, and a crashed owner's lease expires (``ttl_s``), so every
+    stall is bounded.  Cache hits debit nothing: their spend was
+    recorded by whoever computed them.
+    """
     executor = resolve_executor(executor, workers) or SerialExecutor()
-    fused_mode = _normalize_fused(fused)
-    if fused_mode == "family":
-        return _run_family(
-            plan,
-            session,
-            executor=executor,
-            store=store,
-            resume=resume,
-            merge_spend=merge_spend,
-        )
-    if fused_mode == "group":
-        return _run_fused(
-            plan,
-            session,
-            executor=executor,
-            store=store,
-            resume=resume,
-            merge_spend=merge_spend,
-        )
     n_points = len(plan.points)
     points: list[SeriesPoint | None] = [None] * n_points
     spends: dict[int, LedgerEntry] = {}
-    missing = list(range(n_points))
+    computed = 0
 
+    pending = _plan_units(plan, family)
     if store is not None and resume:
-        missing = []
-        for index, spec in enumerate(plan.points):
-            payload = store.get(spec.key(plan.fingerprint))
-            if payload is not None and "point" in payload:
-                points[index] = decode_point(payload["point"])
-            else:
-                missing.append(index)
-    cache_hits = n_points - len(missing)
-
-    if missing and claim_spec is not None:
-        computed = _drain_claimed(
-            plan,
-            session,
-            executor=executor,
-            store=store,
-            missing=missing,
-            points=points,
-            spends=spends,
-            merge_spend=merge_spend,
-            claim_spec=claim_spec,
-        )
-        ordered_spends = [spends[i] for i in sorted(spends)]
-        return SweepOutcome(
-            plan=plan,
-            points=list(points),
-            computed=len(computed),
-            cache_hits=n_points - len(computed),
-            spends=ordered_spends,
-        )
-
-    if missing:
-        outcomes = _executor_map(
-            executor, evaluate_point_spec, session,
-            [plan.points[i] for i in missing],
-        )
-        # `missing` ascends and executor results come back in item
-        # order, so this loop walks the plan order — each point's spend
-        # records on the ledger *before* the point persists to the
-        # store.  A raise-mode overdraft therefore aborts with every
-        # stored point paid for: nothing a later resume would replay
-        # free of charge was ever cached.
-        for index, (point, spend) in zip(missing, outcomes):
-            points[index] = point
-            if spend is not None:
-                spends[index] = spend
-                if merge_spend:
-                    session.ledger.record(spend)
-            if store is not None:
-                spec = plan.points[index]
-                _store_point(
-                    store,
-                    spec.key(plan.fingerprint),
-                    spec.content(plan.fingerprint),
-                    point,
-                    spend,
-                )
-
-    ordered_spends = [spends[i] for i in sorted(spends)]
-    return SweepOutcome(
-        plan=plan,
-        points=list(points),
-        computed=len(missing),
-        cache_hits=cache_hits,
-        spends=ordered_spends,
-    )
-
-
-def _drain_claimed(
-    plan: SweepPlan,
-    session,
-    *,
-    executor,
-    store: ResultStore,
-    missing: list[int],
-    points: list,
-    spends: dict,
-    merge_spend: bool,
-    claim_spec: dict,
-) -> set[int]:
-    """Cooperatively drain ``missing``: claim, compute, adopt, take over.
-
-    Each round: (1) poll the store for deferred points another drain
-    finished (adopted as cache hits — they debit nothing here; their
-    spend was recorded by whoever computed them); (2) claim whatever is
-    still unowned and compute the claimed batch through the executor,
-    recording spend and persisting **per round** — a drain must publish
-    its results before waiting on anyone else's, or two drains holding
-    disjoint claims would deadlock politely forever; (3) release each
-    claim only *after* its point persisted, so no gap exists in which a
-    point is neither claimed nor stored.  A round that claims nothing
-    sleeps ``poll_s`` and rescans; a crashed owner's lease expires
-    (``ttl_s``) and :meth:`~repro.runtime.ClaimBoard.try_claim` takes
-    it over, so every stall is bounded.  Returns the indices computed
-    *by this drain*.
-    """
-    board = store.claim_board(
-        owner=claim_spec.get("owner"), ttl_s=claim_spec.get("ttl_s")
-    )
-    poll_s = claim_spec.get("poll_s") or 0.2
-    pending = set(missing)
-    computed: set[int] = set()
-
-    def key_of(index: int) -> str:
-        return plan.points[index].key(plan.fingerprint)
-
+        for unit in pending:
+            _adopt(store, unit, points)
+        pending = [unit for unit in pending if any(unit.missing)]
     try:
         while pending:
-            # 1. Adopt results another drain published since last scan.
-            #    `contains` first: polling with `get` alone would count
-            #    a miss against the store every round.
-            for index in sorted(pending):
-                if not store.contains(key_of(index)):
-                    continue
-                payload = store.get(key_of(index))
-                if payload is not None and "point" in payload:
-                    points[index] = decode_point(payload["point"])
-                    pending.discard(index)
-            if not pending:
-                break
-            # 2. Claim and compute one batch.  After *winning* a claim,
-            #    re-check the store: the previous holder may have
-            #    published and released between our adoption scan and
-            #    this claim.  Holding the lease freezes the entry
-            #    (publishers store *before* releasing), so the re-check
-            #    is race-free — this is what makes two concurrent
-            #    drains compute each point exactly once.
-            claimed = []
-            for index in sorted(pending):
-                if not board.try_claim(key_of(index)):
-                    continue
-                if store.contains(key_of(index)):
-                    payload = store.get(key_of(index))
-                    if payload is not None and "point" in payload:
-                        points[index] = decode_point(payload["point"])
-                        board.release(key_of(index))
-                        pending.discard(index)
-                        continue
-                claimed.append(index)
-            if not claimed:
-                time.sleep(poll_s)
-                continue
-            outcomes = _executor_map(
-                executor,
-                evaluate_point_spec,
-                session,
-                [plan.points[i] for i in claimed],
-            )
-            # 3. Publish in plan order: record spend, persist, release.
-            for index, (point, spend) in zip(claimed, outcomes):
-                points[index] = point
-                if spend is not None:
-                    spends[index] = spend
-                    if merge_spend:
-                        session.ledger.record(spend)
-                spec = plan.points[index]
-                _store_point(
-                    store,
-                    key_of(index),
-                    spec.content(plan.fingerprint),
-                    point,
-                    spend,
+            batch = pending
+            if board is not None:
+                for unit in pending:
+                    _adopt(store, unit, points, poll=True)
+                batch = [
+                    unit
+                    for unit in pending
+                    if any(unit.missing) and _claim(board, store, unit, points)
+                ]
+            if batch:
+                outcomes = _executor_map(
+                    executor,
+                    _evaluate_unit,
+                    session,
+                    [unit.item() for unit in batch],
                 )
-                board.release(key_of(index))
-                pending.discard(index)
-                computed.add(index)
+                members = sorted(
+                    (
+                        (index, unit, m, unit_points[m], unit_spends[m])
+                        for unit, (unit_points, unit_spends) in zip(
+                            batch, outcomes
+                        )
+                        for m, index in enumerate(unit.indices)
+                        if unit.missing[m]
+                    ),
+                    key=lambda member: member[0],
+                )
+                for index, unit, m, point, spend in members:
+                    points[index] = point
+                    if spend is not None:
+                        spends[index] = spend
+                        if merge_spend:
+                            session.ledger.record(spend)
+                    if store is not None:
+                        _store_point(
+                            store, unit.keys[m], unit.contents[m], point, spend
+                        )
+                    unit.missing[m] = False
+                    if board is not None and not any(unit.missing):
+                        board.release(unit.lease)
+                computed += len(members)
+            pending = [unit for unit in pending if any(unit.missing)]
+            if pending and not batch:
+                time.sleep(poll_s)
     finally:
-        board.release_all()
-    return computed
+        if board is not None:
+            board.release_all()
 
-
-def _run_fused(
-    plan: SweepPlan,
-    session,
-    *,
-    executor,
-    store: ResultStore | None,
-    resume: bool,
-    merge_spend: bool,
-) -> SweepOutcome:
-    """The ``fused=True`` body of :func:`run_plan`.
-
-    Fusable points evaluate group-at-a-time through
-    :func:`evaluate_fused_group`; leftover points (truncated-laplace,
-    mechanisms without a unit-noise family) run through the ordinary
-    per-point path under their ordinary keys — their values are
-    identical either way, so they stay shareable with unfused runs.
-    A group recomputes whenever *any* of its members is missing from
-    the store (the draw is indivisible), but members already cached
-    keep their stored values and debit nothing; only the missing ones
-    record spend and persist.
-    """
-    groups, leftover = fused_groups(plan)
-    n_points = len(plan.points)
-    points: list[SeriesPoint | None] = [None] * n_points
-    spends: dict[int, LedgerEntry] = {}
-
-    # -- leftover (non-fusable) points: the ordinary per-point path ----
-    missing_leftover = list(leftover)
-    if store is not None and resume:
-        missing_leftover = []
-        for index in leftover:
-            spec = plan.points[index]
-            payload = store.get(spec.key(plan.fingerprint))
-            if payload is not None and "point" in payload:
-                points[index] = decode_point(payload["point"])
-            else:
-                missing_leftover.append(index)
-
-    # -- fused groups: resume member-by-member, recompute by group -----
-    cached_members: set[int] = set()
-    pending_groups: list[FusedGroup] = []
-    if store is not None and resume:
-        for group in groups:
-            complete = True
-            for index in group.indices:
-                spec = plan.points[index]
-                payload = store.get(group.member_key(spec, plan.fingerprint))
-                if payload is not None and "point" in payload:
-                    points[index] = decode_point(payload["point"])
-                    cached_members.add(index)
-                else:
-                    complete = False
-            if not complete:
-                pending_groups.append(group)
-    else:
-        pending_groups = list(groups)
-
-    computed_indices: set[int] = set(missing_leftover)
-    results: dict[int, tuple[SeriesPoint, LedgerEntry | None, FusedGroup | None]] = {}
-
-    if missing_leftover:
-        outcomes = _executor_map(
-            executor,
-            evaluate_point_spec,
-            session,
-            [plan.points[i] for i in missing_leftover],
-        )
-        for index, (point, spend) in zip(missing_leftover, outcomes):
-            results[index] = (point, spend, None)
-
-    if pending_groups:
-        group_outcomes = _executor_map(
-            executor, evaluate_fused_group, session, pending_groups
-        )
-        for group, (group_points, group_spends) in zip(
-            pending_groups, group_outcomes
-        ):
-            for index, point, spend in zip(
-                group.indices, group_points, group_spends
-            ):
-                if index in cached_members:
-                    continue  # stored value wins; recompute spends nothing
-                results[index] = (point, spend, group)
-                computed_indices.add(index)
-
-    # Plan-order walk: record each newly computed point's spend before
-    # persisting it, exactly like the unfused path.
-    for index in sorted(results):
-        point, spend, group = results[index]
-        points[index] = point
-        if spend is not None:
-            spends[index] = spend
-            if merge_spend:
-                session.ledger.record(spend)
-        if store is not None:
-            spec = plan.points[index]
-            if group is None:
-                key = spec.key(plan.fingerprint)
-                content = spec.content(plan.fingerprint)
-            else:
-                key = group.member_key(spec, plan.fingerprint)
-                content = group.member_content(spec, plan.fingerprint)
-            _store_point(store, key, content, point, spend)
-
-    ordered_spends = [spends[i] for i in sorted(spends)]
     return SweepOutcome(
         plan=plan,
-        points=list(points),
-        computed=len(computed_indices),
-        cache_hits=n_points - len(computed_indices),
-        spends=ordered_spends,
-    )
-
-
-def _run_family(
-    plan: SweepPlan,
-    session,
-    *,
-    executor,
-    store: ResultStore | None,
-    resume: bool,
-    merge_spend: bool,
-) -> SweepOutcome:
-    """The ``fused="family"`` body of :func:`run_plan`.
-
-    Fusable points evaluate family-at-a-time through
-    :func:`evaluate_fused_family` — one unit draw per whole α×ε grid of
-    a mechanism; leftover points run the ordinary per-point path under
-    their ordinary keys.  Resume is *member-precise*: the family's unit
-    draw depends only on the family seed, never on which members get
-    reduced, so a resumed family recomputes exactly its missing members
-    and reproduces the original run's values bit-for-bit — unlike the
-    ε-group path, cached members cost no redundant kernel work at all.
-    """
-    families, leftover = fused_families(plan)
-    n_points = len(plan.points)
-    points: list[SeriesPoint | None] = [None] * n_points
-    spends: dict[int, LedgerEntry] = {}
-
-    # -- leftover (non-fusable) points: the ordinary per-point path ----
-    missing_leftover = list(leftover)
-    if store is not None and resume:
-        missing_leftover = []
-        for index in leftover:
-            spec = plan.points[index]
-            payload = store.get(spec.key(plan.fingerprint))
-            if payload is not None and "point" in payload:
-                points[index] = decode_point(payload["point"])
-            else:
-                missing_leftover.append(index)
-
-    # -- families: resume member-by-member, recompute only the missing -
-    pending: list[tuple[FusedFamily, tuple[bool, ...]]] = []
-    if store is not None and resume:
-        for family in families:
-            evaluate = []
-            for index in family.indices:
-                spec = plan.points[index]
-                payload = store.get(family.member_key(spec, plan.fingerprint))
-                if payload is not None and "point" in payload:
-                    points[index] = decode_point(payload["point"])
-                    evaluate.append(False)
-                else:
-                    evaluate.append(True)
-            if any(evaluate):
-                pending.append((family, tuple(evaluate)))
-    else:
-        pending = [
-            (family, (True,) * len(family.indices)) for family in families
-        ]
-
-    computed_indices: set[int] = set(missing_leftover)
-    results: dict[int, tuple[SeriesPoint, LedgerEntry | None, FusedFamily | None]] = {}
-
-    if missing_leftover:
-        outcomes = _executor_map(
-            executor,
-            evaluate_point_spec,
-            session,
-            [plan.points[i] for i in missing_leftover],
-        )
-        for index, (point, spend) in zip(missing_leftover, outcomes):
-            results[index] = (point, spend, None)
-
-    if pending:
-        family_outcomes = _executor_map(
-            executor, evaluate_fused_family, session, pending
-        )
-        for (family, evaluate), (family_points, family_spends) in zip(
-            pending, family_outcomes
-        ):
-            for index, do_eval, point, spend in zip(
-                family.indices, evaluate, family_points, family_spends
-            ):
-                if not do_eval:
-                    continue  # cached member: stored value already placed
-                results[index] = (point, spend, family)
-                computed_indices.add(index)
-
-    # Plan-order walk: record each newly computed point's spend before
-    # persisting it, exactly like the unfused path.
-    for index in sorted(results):
-        point, spend, family = results[index]
-        points[index] = point
-        if spend is not None:
-            spends[index] = spend
-            if merge_spend:
-                session.ledger.record(spend)
-        if store is not None:
-            spec = plan.points[index]
-            if family is None:
-                key = spec.key(plan.fingerprint)
-                content = spec.content(plan.fingerprint)
-            else:
-                key = family.member_key(spec, plan.fingerprint)
-                content = family.member_content(spec, plan.fingerprint)
-            _store_point(store, key, content, point, spend)
-
-    ordered_spends = [spends[i] for i in sorted(spends)]
-    return SweepOutcome(
-        plan=plan,
-        points=list(points),
-        computed=len(computed_indices),
-        cache_hits=n_points - len(computed_indices),
-        spends=ordered_spends,
+        points=points,
+        computed=computed,
+        cache_hits=n_points - computed,
+        spends=[spends[i] for i in sorted(spends)],
     )

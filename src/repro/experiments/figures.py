@@ -3,7 +3,10 @@
 Each function builds the paper's (mechanism × α × ε) grid as a
 :class:`~repro.engine.plan.SweepPlan` and submits it to the sweep engine
 (:func:`repro.engine.sweep.run_plan`), which evaluates the points
-through :meth:`repro.api.ReleaseSession.evaluate_point_outcome` over the
+through :meth:`repro.api.ReleaseSession.evaluate_point_outcome` — or,
+with ``fused="family"``, each mechanism's whole α×ε grid from one
+unit-noise draw through
+:meth:`~repro.api.ReleaseSession.evaluate_family_outcome` — over the
 session's cached trial-invariant statistics.  The engine adds three
 things the old per-point loop could not do:
 
@@ -58,8 +61,7 @@ def run_figure(
     ``config`` overrides the grids/trial count (defaults to the
     session's); the snapshot fingerprint and seed base always come from
     the *session*, whose data the points are actually computed on.
-    ``fused=True`` (or ``"group"``) shares one unit-noise draw per
-    (mechanism, α) group; ``fused="family"`` shares one draw per
+    ``fused=True`` (or ``"family"``) shares one unit-noise draw per
     mechanism's whole α×ε grid (statistically equivalent, different RNG
     streams, distinct result keys); the default reproduces the
     historical figures bit-for-bit.

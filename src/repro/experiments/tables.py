@@ -20,6 +20,7 @@ from repro.api.request import ReleaseRequest
 from repro.api.session import ReleaseSession
 from repro.core.definitions import table1_rows
 from repro.core.params import min_epsilon
+from repro.engine.sweep import resolve_fused
 from repro.experiments.workloads import WORKLOAD_1
 from repro.util import format_table
 
@@ -90,13 +91,14 @@ TABLE3_DELTA: float = 0.05
 
 
 def _table3_row_key(
-    fingerprint: str, request: ReleaseRequest, fused: dict | None = None
+    fingerprint: str, request: ReleaseRequest, family: dict | None = None
 ) -> str:
     """Content-address of one Table-3 row for the result store.
 
-    ``fused`` carries the fused-evaluation token (group seed + the
-    group's ε tuple): fused rows come from a different noise stream than
-    per-request rows, so their cache keys must never collide.
+    ``family`` carries the family-evaluation token (family seed + the
+    family's (α, ε) members): family rows come from a different noise
+    stream than per-request rows, so their cache keys must never
+    collide.
     """
     from repro.engine.store import content_key
 
@@ -112,12 +114,12 @@ def _table3_row_key(
         "n_trials": request.n_trials,
         "seed": request.seed,
     }
-    if fused is not None:
-        payload["fused"] = fused
+    if family is not None:
+        payload["family"] = family
     return content_key(payload)
 
 
-def _table3_rows_fused(
+def _table3_rows_family(
     session: ReleaseSession,
     requests,
     rows: list,
@@ -127,69 +129,63 @@ def _table3_rows_fused(
     store,
     resume: bool,
 ) -> list[dict]:
-    """Fill the pending Table-3 rows group-at-a-time with shared draws.
+    """Fill the pending Table-3 rows one mechanism family at a time.
 
-    One (mechanism, α) group shares one unit-noise draw serving *both*
-    metrics of every ε row (L1 ratio and Spearman reduce from the same
-    noisy matrices), debiting once per feasible row — the same composed
-    budget the per-request path debits.  A group recomputes whenever any
-    of its rows is missing from the store; cached rows keep their stored
-    values and debit nothing.
+    One unit-noise draw per mechanism serves *both* metrics of every
+    (α, ε) row (L1 ratio and Spearman reduce from the same noisy
+    matrices), debiting once per computed feasible row — the same
+    composed budget the per-request path debits.  Rows already filled
+    (infeasible, or replayed from the store) are masked out of the
+    family's reduction and debit nothing.
     """
     from repro.util import derive_seed
 
-    groups: dict[tuple, list[int]] = {}
+    families: dict[str, list[int]] = {}
     for index, request in enumerate(requests):
-        if rows[index] is not None and not rows[index]["feasible"]:
-            continue  # prefiltered infeasible rows need no draw
-        groups.setdefault((request.mechanism, request.alpha), []).append(index)
+        families.setdefault(request.mechanism, []).append(index)
 
-    for (mechanism, alpha), indices in groups.items():
-        epsilons = [requests[i].epsilon for i in indices]
-        group_seed = derive_seed(
-            session.config.seed, f"table3-fused:{mechanism}:{alpha}"
-        )
-        token = {"group_seed": group_seed, "epsilons": list(epsilons)}
-        cached: set[int] = set()
+    for mechanism, indices in families.items():
+        members = [(requests[i].alpha, requests[i].epsilon) for i in indices]
+        seed = derive_seed(session.config.seed, f"table3-family:{mechanism}")
+        token = {"family_seed": seed, "members": [list(m) for m in members]}
+        keys = [
+            _table3_row_key(fingerprint, requests[i], family=token)
+            for i in indices
+        ]
         if store is not None and resume:
-            for i in indices:
-                payload = store.get(
-                    _table3_row_key(fingerprint, requests[i], fused=token)
-                )
+            for i, key in zip(indices, keys):
+                payload = None if rows[i] is not None else store.get(key)
                 if payload is not None and "row" in payload:
                     rows[i] = payload["row"]
-                    cached.add(i)
-        if len(cached) == len(indices):
+        evaluate = [rows[i] is None for i in indices]
+        if not any(evaluate):
             continue
-        values, spends = session.evaluate_fused_outcome(
+        values, spends = session.evaluate_family_outcome(
             WORKLOAD_1,
             mechanism,
-            alpha=alpha,
+            members=members,
             delta=delta,
-            epsilons=epsilons,
             metrics=("l1-ratio", "spearman"),
             n_trials=n_trials,
-            seed=group_seed,
+            seed=seed,
+            evaluate=evaluate,
         )
-        for pos, i in enumerate(indices):
-            if i in cached:
+        for pos, (i, key) in enumerate(zip(indices, keys)):
+            if not evaluate[pos]:
                 continue
-            row = {
+            l1, rho = values["l1-ratio"][pos], values["spearman"][pos]
+            rows[i] = {
                 "mechanism": mechanism,
-                "alpha": alpha,
+                "alpha": requests[i].alpha,
                 "epsilon": requests[i].epsilon,
-                "feasible": values["l1-ratio"][pos].feasible,
-                "l1_ratio": values["l1-ratio"][pos].overall,
-                "spearman": values["spearman"][pos].overall,
+                "feasible": l1.feasible,
+                "l1_ratio": l1.overall,
+                "spearman": rho.overall,
             }
-            rows[i] = row
             if spends[pos] is not None:
                 session.ledger.record(spends[pos])
             if store is not None:
-                store.put(
-                    _table3_row_key(fingerprint, requests[i], fused=token),
-                    {"row": row},
-                )
+                store.put(key, {"row": rows[i]})
     return rows
 
 
@@ -219,14 +215,13 @@ def table3_rows(
     content hash and ``resume=True`` replays completed rows without
     touching the data (cache hits debit nothing).
 
-    ``fused`` (any truthy mode — the sweep engine's ``"family"`` mode
-    included) evaluates each (mechanism, α) group's ε rows from one
-    shared unit-noise draw (both metrics from the same matrices) instead
-    of one release per row — statistically equivalent, different RNG
-    streams, distinct cache keys; the default path is unchanged.  Table
-    3 rows need both metrics per point, so the table always fuses at
-    group granularity.
+    ``fused=True`` (or ``"family"``) evaluates each mechanism's α×ε
+    rows from one shared unit-noise draw (both metrics from the same
+    matrices) instead of one release per row — statistically
+    equivalent, different RNG streams, distinct cache keys; the default
+    path is unchanged.
     """
+    family = resolve_fused(fused)
     if n_trials is None:
         n_trials = session.config.n_trials
     from repro.engine.evaluate import mechanism_is_feasible
@@ -258,8 +253,8 @@ def table3_rows(
                 "spearman": float("nan"),
             }
             continue
-        if fused:
-            continue  # fused grouping handles resume per member key
+        if family:
+            continue  # the family path resumes under family row keys
         if store is not None and resume:
             payload = store.get(_table3_row_key(fingerprint, request))
             if payload is not None and "row" in payload:
@@ -267,8 +262,8 @@ def table3_rows(
                 continue
         pending.append(index)
 
-    if fused:
-        return _table3_rows_fused(
+    if family:
+        return _table3_rows_family(
             session,
             requests,
             rows,

@@ -29,6 +29,7 @@ import signal
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Protocol, runtime_checkable
@@ -170,13 +171,15 @@ class ProcessDriver:
     calling process, context built the same way, so callers get a
     single code path.
 
-    **Crash recovery**: a dead worker poisons the whole
+    **Crash recovery**: a dead worker poisons its
     :class:`~concurrent.futures.ProcessPoolExecutor`
-    (:class:`BrokenProcessPool`), so shards whose futures never
-    delivered are collected and resubmitted to a *fresh* pool.  Each
-    round of resubmission consumes one of ``max_shard_retries``; a
-    shard that dies again past the budget raises, because a task that
-    kills its worker every time is a bug, not bad luck.  Retried tasks
+    (:class:`BrokenProcessPool`), so every shard runs in its own
+    single-worker pool — a crash costs only the shard it hit — and
+    shards whose futures never delivered are resubmitted to a *fresh*
+    pool.  Each round of resubmission consumes one of
+    ``max_shard_retries``; a shard that dies again past the budget
+    raises, because a task that kills its worker every time is a bug,
+    not bad luck.  Retried tasks
     are bit-identical to their first attempt (self-seeded items,
     content-derived seeds), so recovery is invisible in the results.
     """
@@ -221,14 +224,17 @@ class ProcessDriver:
                         self.stats.attempts.get(index, 0) + 1
                     )
             crashed = []
-            with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(pending)),
-                mp_context=mp_context,
-            ) as pool:
+            with ExitStack() as pools:
+                # One single-worker pool per shard: a dying worker breaks
+                # only its own pool, so the other shards still deliver.
                 submitted = [
                     (
                         shard,
-                        pool.submit(
+                        pools.enter_context(
+                            ProcessPoolExecutor(
+                                max_workers=1, mp_context=mp_context
+                            )
+                        ).submit(
                             _run_task_shard,
                             taskset.context.make,
                             taskset.context.args,

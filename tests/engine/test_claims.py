@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.engine.executors import ProcessExecutor, SerialExecutor
-from repro.engine.plan import figure_plan
+from repro.engine.plan import figure_plan, fused_families
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
@@ -60,17 +60,21 @@ class TestClaimValidation:
         with pytest.raises(ValueError, match="requires a result store"):
             run_plan(figure1_plan, session, claim=True)
 
-    @pytest.mark.parametrize("fused", [True, "group", "family"])
-    def test_claim_excludes_fused_modes(
-        self, figure1_plan, session, tmp_path, fused
+    @pytest.mark.parametrize(
+        "timing", [{"claim_ttl_s": 0}, {"claim_ttl_s": -5}, {"claim_poll_s": 0}]
+    )
+    def test_claim_rejects_non_positive_timings(
+        self, figure1_plan, session, tmp_path, timing
     ):
-        with pytest.raises(ValueError, match="per-point path"):
+        """A lease born expired would let a second drain take over a
+        live claim at once; a zero poll would spin."""
+        with pytest.raises(ValueError, match="must be > 0"):
             run_plan(
                 figure1_plan,
                 session,
                 store=ResultStore(tmp_path),
                 claim=True,
-                fused=fused,
+                **timing,
             )
 
 
@@ -226,6 +230,110 @@ class TestConcurrentDrains:
         assert outcome.computed == len(figure1_plan) - 1
         assert outcome.cache_hits == 1
         assert_series_identical(serial_outcome.points, outcome.points)
+
+
+class TestFamilyClaims:
+    """Claims over family units: one lease per mechanism family."""
+
+    @pytest.fixture(scope="class")
+    def family_outcome(self, figure1_plan, session):
+        return run_plan(
+            figure1_plan, session, merge_spend=False, fused="family"
+        )
+
+    def test_claimed_family_drain_bit_identical_to_claimless(
+        self, figure1_plan, session, family_outcome, tmp_path
+    ):
+        store = ResultStore(tmp_path / "cache")
+        outcome = run_plan(
+            figure1_plan,
+            session,
+            store=store,
+            claim=True,
+            claim_poll_s=0.02,
+            merge_spend=False,
+            fused="family",
+        )
+        assert outcome.computed == len(figure1_plan)
+        assert_series_identical(family_outcome.points, outcome.points)
+        assert outcome.spends == family_outcome.spends
+        assert lease_files(store) == []
+        assert len(store) == len(figure1_plan)
+
+    def test_two_family_drains_store_each_member_once(
+        self, figure1_plan, session, family_outcome, tmp_path
+    ):
+        root = tmp_path / "shared"
+        stores = [ResultStore(root), ResultStore(root)]
+        outcomes: dict[int, object] = {}
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(2)
+
+        def drain(slot: int) -> None:
+            barrier.wait()
+            try:
+                outcomes[slot] = run_plan(
+                    figure1_plan,
+                    session,
+                    store=stores[slot],
+                    claim=True,
+                    claim_poll_s=0.02,
+                    merge_spend=False,
+                    fused="family",
+                )
+            except BaseException as error:  # surfaced below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=drain, args=(slot,)) for slot in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        n_points = len(figure1_plan)
+        assert outcomes[0].computed + outcomes[1].computed == n_points
+        assert stores[0].writes + stores[1].writes == n_points
+        for outcome in outcomes.values():
+            assert_series_identical(family_outcome.points, outcome.points)
+        assert lease_files(stores[0]) == []
+
+    def test_expired_family_lease_recomputes_only_missing_members(
+        self, figure1_plan, session, family_outcome, tmp_path
+    ):
+        """A crashed drain stored some members of each family, then died
+        holding the family leases: a live drain takes the expired leases
+        over and recomputes exactly the members that never landed."""
+        store = ResultStore(tmp_path / "cache")
+        run_plan(
+            figure1_plan, session, store=store, merge_spend=False,
+            fused="family",
+        )
+        fingerprint = figure1_plan.fingerprint
+        families, _ = fused_families(figure1_plan)
+        crashed = store.claim_board(owner="crashed-drain", ttl_s=0.05)
+        dropped = 0
+        for family in families:
+            assert crashed.try_claim(family.key(fingerprint))
+            for index in family.indices[1::2]:
+                spec = figure1_plan.points[index]
+                store.path_for(family.member_key(spec, fingerprint)).unlink()
+                dropped += 1
+        time.sleep(0.1)
+        outcome = run_plan(
+            figure1_plan,
+            session,
+            store=ResultStore(tmp_path / "cache"),
+            claim=True,
+            claim_poll_s=0.02,
+            merge_spend=False,
+            fused="family",
+        )
+        assert outcome.computed == dropped
+        assert outcome.cache_hits == len(figure1_plan) - dropped
+        assert_series_identical(family_outcome.points, outcome.points)
+        assert lease_files(store) == []
 
 
 class TestCrashRecoveryMidPlan:

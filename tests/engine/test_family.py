@@ -1,25 +1,26 @@
-"""Tests for the family-fused path (PR 9): one unit-noise draw per
-mechanism's whole α×ε sub-grid (``run_plan(fused="family")``).
+"""Tests for the family-fused path: one unit-noise draw per mechanism's
+whole α×ε sub-grid (``run_plan(fused="family")``).
 
 The family path rides the same content-addressed store and ledger
-machinery as the ε-only groups from :mod:`tests.engine.test_fused`, so
-these tests focus on what the α axis adds: the shared envelope cache,
-three-way key disjointness (default / ``fused`` / ``family``),
-member-precise resume, ``--trials-batch`` chunking of the family draw,
-and the per-worker profile breakdown that ships back from process
-pools.
+machinery as the per-point path, so these tests focus on what fusion
+adds: statistical agreement with the per-point stream, the analytic
+linear reduction, the shared envelope cache, key disjointness from the
+per-point keys, member-precise resume, ``--trials-batch`` chunking of
+the family draw, and the per-worker profile breakdown that ships back
+from process pools.  The bit-exact family values are pinned in
+:mod:`tests.engine.test_golden`.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine.evaluate import fused_family_points
-from repro.engine.plan import fused_families, fused_groups, grid_plan
+from repro.engine.plan import fused_families, grid_plan
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
 
-from .test_fused import FIGURE_GOLDEN, run_figure_plan
+from .test_golden import FIGURE_GOLDEN, run_figure_plan
 
 
 def family_plan(session, n_trials=400, metric="l1-ratio", tag="family-equiv"):
@@ -78,20 +79,18 @@ class TestFamilyPlanning:
 
 
 class TestFamilyEquivalence:
-    """One draw per α×ε family is a different RNG stream from both the
-    unfused and the ε-group paths, but all three must agree
-    statistically at 400 trials."""
+    """One draw per α×ε family is a different RNG stream from the
+    unfused path, but the two must agree statistically at 400 trials."""
 
     @pytest.fixture(scope="class")
     def paths(self, session):
         plan = family_plan(session)
         unfused = run_plan(plan, session, merge_spend=False)
-        grouped = run_plan(plan, session, merge_spend=False, fused=True)
         family = run_plan(plan, session, merge_spend=False, fused="family")
-        return unfused, grouped, family
+        return unfused, family
 
     def test_overall_within_tolerance(self, paths):
-        unfused, _, family = paths
+        unfused, family = paths
         for pu, pf in zip(unfused.points, family.points):
             assert pf.mechanism == pu.mechanism
             assert pf.alpha == pu.alpha
@@ -103,7 +102,7 @@ class TestFamilyEquivalence:
             assert rel < 0.06, (pu.mechanism, pu.alpha, pu.epsilon, rel)
 
     def test_strata_within_tolerance(self, paths):
-        unfused, _, family = paths
+        unfused, family = paths
         for pu, pf in zip(unfused.points, family.points):
             if not pu.feasible:
                 continue
@@ -112,37 +111,25 @@ class TestFamilyEquivalence:
                     pu.mechanism, pu.alpha, pu.epsilon,
                 )
 
-    def test_family_agrees_with_group_path(self, paths):
-        _, grouped, family = paths
-        for pg, pf in zip(grouped.points, family.points):
-            assert pf.feasible == pg.feasible
-            if not pg.feasible:
-                continue
-            assert abs(pf.overall - pg.overall) / pg.overall < 0.06
-
     def test_family_is_deterministic(self, session, paths):
-        _, _, family = paths
+        _, family = paths
         plan = family_plan(session)
         again = run_plan(plan, session, merge_spend=False, fused="family")
         for a, b in zip(family.points, again.points):
             assert points_identical(a, b)
 
     def test_family_differs_from_other_streams(self, paths):
-        """Sanity: the family stream really is its own draw (silent
-        fallback to either other path would pass the tolerances)."""
-        unfused, grouped, family = paths
+        """Sanity: the family stream really is its own draw (a silent
+        fallback to per-point draws would pass the tolerances)."""
+        unfused, family = paths
         assert any(
             pu.feasible and pf.overall != pu.overall
             for pu, pf in zip(unfused.points, family.points)
         )
-        assert any(
-            pg.feasible and pf.overall != pg.overall
-            for pg, pf in zip(grouped.points, family.points)
-        )
 
     def test_family_spends_match_unfused(self, paths):
         """Family fusion changes how noise is drawn, never the debits."""
-        unfused, _, family = paths
+        unfused, family = paths
         assert len(family.spends) == len(unfused.spends)
         key = lambda e: (e.label, e.mechanism, e.epsilon, e.delta, e.mode)
         assert sorted(map(key, family.spends)) == sorted(
@@ -178,38 +165,29 @@ class TestFamilyAnalytic:
 
 
 class TestFamilyStore:
-    """The three cache prefixes — default, ``fused`` group, ``family``
-    — are pairwise disjoint, and family resume is member-precise."""
+    """Default point keys, family member keys and family lease keys are
+    pairwise disjoint, and family resume is member-precise."""
 
-    def test_three_way_key_disjointness(self, session):
+    def test_family_keys_disjoint_from_plain_keys(self, session):
         plan = family_plan(session, n_trials=2)
-        groups, g_left = fused_groups(plan)
-        families, f_left = fused_families(plan)
-        assert not g_left and not f_left
+        families, leftover = fused_families(plan)
+        assert not leftover
         plain = {spec.key(plan.fingerprint) for spec in plan.points}
         member = {
-            group.member_key(plan.points[i], plan.fingerprint)
-            for group in groups
-            for i in group.indices
-        }
-        family = {
             fam.member_key(plan.points[i], plan.fingerprint)
             for fam in families
             for i in fam.indices
         }
-        assert len(plain) == len(member) == len(family) == len(plan.points)
+        lease = {fam.key(plan.fingerprint) for fam in families}
+        assert len(plain) == len(member) == len(plan.points)
+        assert len(lease) == len(families)
         assert plain.isdisjoint(member)
-        assert plain.isdisjoint(family)
-        assert member.isdisjoint(family)
+        assert lease.isdisjoint(plain | member)
 
     def test_family_run_ignores_other_caches(self, session, tmp_path):
         plan = family_plan(session, n_trials=2)
         store = ResultStore(tmp_path)
         run_plan(plan, session, merge_spend=False, store=store, resume=True)
-        run_plan(
-            plan, session, merge_spend=False, store=store, resume=True,
-            fused=True,
-        )
         family = run_plan(
             plan,
             session,
@@ -438,3 +416,41 @@ class TestWorkerProfile:
         )
         assert "per_worker" not in outcome.profile
         assert outcome.profile["total_s"] > 0
+
+
+class TestFamilyTable3:
+    """Table 3's fused branch: one family per mechanism serving both
+    metrics, the same debits as the per-request rows, member-precise
+    resume."""
+
+    def test_rows_and_debits_match_default(self, engine_config, tmp_path):
+        from repro.api.session import ReleaseSession
+        from repro.experiments.tables import table3_rows
+
+        default = ReleaseSession(engine_config)
+        family = ReleaseSession(engine_config)
+        rows = table3_rows(default, n_trials=2)
+        fused = table3_rows(
+            family, n_trials=2, fused="family", store=ResultStore(tmp_path)
+        )
+        key = lambda row: (row["mechanism"], row["alpha"], row["epsilon"])
+        assert [key(r) for r in fused] == [key(r) for r in rows]
+        assert [r["feasible"] for r in fused] == [r["feasible"] for r in rows]
+        assert any(
+            r["l1_ratio"] != f["l1_ratio"] for r, f in zip(rows, fused)
+        )
+        spend = lambda e: (e.mechanism, e.epsilon, e.delta)
+        assert sorted(map(spend, family.ledger.entries)) == sorted(
+            map(spend, default.ledger.entries)
+        )
+
+        resumed = ReleaseSession(engine_config)
+        again = table3_rows(
+            resumed,
+            n_trials=2,
+            fused=True,
+            store=ResultStore(tmp_path),
+            resume=True,
+        )
+        assert again == fused
+        assert not resumed.ledger.entries  # cache hits debit nothing

@@ -45,13 +45,31 @@ class TestParser:
     def test_fused_modes(self, command):
         base = [command]
         assert build_parser().parse_args(base).fused is False
-        assert build_parser().parse_args(base + ["--fused"]).fused == "group"
+        assert build_parser().parse_args(base + ["--fused"]).fused == "family"
         assert (
             build_parser().parse_args(base + ["--fused", "family"]).fused
             == "family"
         )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(base + ["--fused", "bogus"])
+        for removed in ("group", "bogus"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(base + ["--fused", removed])
+
+    @pytest.mark.parametrize("ttl", ["0", "-5"])
+    def test_claim_rejects_non_positive_ttl(self, tmp_path, ttl):
+        """A lease born expired would be taken over by a second drain at
+        once, so the sweep refuses it before building a session."""
+        with pytest.raises(SystemExit, match="--claim-ttl must be > 0"):
+            main(
+                [
+                    "sweep",
+                    "--claim",
+                    "--claim-ttl", ttl,
+                    "--jobs", "4000",
+                    "--trials", "1",
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path),
+                ]
+            )
 
 
 class TestCommands:
