@@ -228,9 +228,9 @@ def _add_engine_arguments(parser, *, claims: bool = True):
             "--claim",
             action="store_true",
             help="coordinate with other drains of the same plan through "
-            "lease files on the result store: each missing point (each "
-            "mechanism family under --fused) is claimed before it is "
-            "computed, so N concurrent processes "
+            "lease files on the result store: blocks of missing points "
+            "(of mechanism families under --fused) are claimed before "
+            "they are computed, so N concurrent processes "
             "(or machines, via --store-url) partition the grid instead "
             "of each computing all of it; implies --resume and "
             "requires the result store",

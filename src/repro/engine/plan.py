@@ -262,20 +262,6 @@ class FusedFamily:
             "members": [[a, e] for a, e in self.members],
         }
 
-    def key(self, fingerprint: str) -> str:
-        """Content-address of the whole family (its claim lease key)."""
-        return content_key(
-            {
-                "fingerprint": fingerprint,
-                "workload": self.workload,
-                "mechanism": self.mechanism,
-                "metric": self.metric,
-                "delta": self.delta,
-                "n_trials": self.n_trials,
-                "family": self._family_token(),
-            }
-        )
-
     def member_key(self, spec: PointSpec, fingerprint: str) -> str:
         """Content-address of one member point under family evaluation."""
         return content_key(self.member_content(spec, fingerprint))

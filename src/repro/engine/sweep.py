@@ -9,8 +9,9 @@ serves a mechanism's whole α×ε grid — and runs one loop over them:
 1. consult the :class:`~repro.engine.store.ResultStore` (when resuming)
    member by member and keep every already-computed point — a resumed
    figure recomputes only what is missing;
-2. with ``claim=True``, adopt members other drains published and claim
-   each unowned unit on the store's lease board;
+2. with ``claim=True``, lease **blocks** of consecutive units on the
+   store's claim board (guided self-scheduling: long blocks first, single
+   units last), adopting the members other drains published;
 3. fan the units through an :class:`~repro.engine.executors.Executor`
    (serial by default; thread or process pools for parallel sweeps) via
    the non-debiting session outcome methods, so workers never touch a
@@ -20,7 +21,7 @@ serves a mechanism's whole α×ε grid — and runs one loop over them:
    — accounting is exact and deterministic no matter which executor ran
    the units, and a raise-mode overdraft aborts before the offending
    point is ever cached;
-5. release a unit's lease only after all its members are stored.
+5. release a block's lease only after all its members are stored.
 
 Cache hits debit nothing: re-serving a stored release consumes no new
 privacy budget (the noise was drawn, and paid for, when the point was
@@ -30,7 +31,9 @@ first computed and stored).
 from __future__ import annotations
 
 import os
+import threading
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -51,6 +54,8 @@ from repro.engine.store import ResultStore, content_key
 __all__ = [
     "SweepOutcome",
     "run_plan",
+    "guided_blocks",
+    "lease_blocks",
     "evaluate_point_spec",
     "evaluate_fused_family",
     "resolve_workload",
@@ -279,11 +284,14 @@ def run_plan(
     :class:`~repro.runtime.ClaimBoard` (an atomic lease file beside the
     payloads), so N concurrent drains of the same plan against one
     shared store partition the grid instead of each computing all of
-    it.  Units another drain claimed are deferred: this run polls the
-    store (every ``claim_poll_s`` seconds) and adopts their results as
-    cache hits when they land; a claim whose owner crashed expires
-    after ``claim_ttl_s`` (default
-    :data:`~repro.runtime.DEFAULT_LEASE_TTL_S`) and is taken over.
+    it.  Units are leased in blocks (see :func:`lease_blocks`), and a
+    heartbeat renews held leases every third of their TTL.  Units
+    another drain claimed are deferred: this run re-polls the store
+    with a backoff from 10 ms up to at most ``claim_poll_s`` seconds
+    between polls and adopts their results as cache hits when they
+    land; a claim whose owner crashed expires after ``claim_ttl_s``
+    (default :data:`~repro.runtime.DEFAULT_LEASE_TTL_S`) and is taken
+    over.
     Claims are an optimization, never a correctness mechanism — if two
     drains ever compute the same point (expiry race, unreachable
     backend failing open) both write bit-identical bytes and last
@@ -352,16 +360,13 @@ class _Unit:
 
     ``indices``, ``keys`` and ``contents`` align member by member (a
     point unit has one member); ``missing`` marks the members not yet
-    resumed, adopted or computed.  ``lease`` is the key a cooperative
-    drain claims before computing the unit: the point key for a point,
-    the family's own content key for a family.
+    resumed, adopted or computed.
     """
 
     task: PointSpec | FusedFamily
     indices: tuple[int, ...]
     keys: tuple[str, ...]
     contents: tuple[dict, ...]
-    lease: str
     missing: list[bool]
 
     def item(self):
@@ -388,8 +393,9 @@ def _plan_units(plan: SweepPlan, family: bool) -> list[_Unit]:
     for index in leftover:
         spec = plan.points[index]
         content = spec.content(fingerprint)
-        key = content_key(content)
-        units.append(_Unit(spec, (index,), (key,), (content,), key, [True]))
+        units.append(
+            _Unit(spec, (index,), (content_key(content),), (content,), [True])
+        )
     for fam in families:
         contents = tuple(
             fam.member_content(plan.points[i], fingerprint) for i in fam.indices
@@ -400,12 +406,78 @@ def _plan_units(plan: SweepPlan, family: bool) -> list[_Unit]:
                 fam.indices,
                 tuple(map(content_key, contents)),
                 contents,
-                fam.key(fingerprint),
                 [True] * len(fam.indices),
             )
         )
     units.sort(key=lambda unit: unit.indices[0])
     return units
+
+
+# -- claim blocks ---------------------------------------------------------
+
+# Guided self-scheduling: each claim block takes this fraction of the
+# units not yet cut, so early blocks are long (few leases) and the tail
+# runs down to single units (the last units still balance the fleet).
+BLOCK_DIVISOR = 8
+
+# The first re-poll after a round that found nothing claimable; each
+# fruitless round doubles it, up to the drain's ``claim_poll_s``.
+FIRST_POLL_S = 0.01
+
+
+def guided_blocks(n_units: int) -> list[range]:
+    """Cut ``range(n_units)`` into guided self-scheduling blocks.
+
+    Each block takes ``ceil(remaining / BLOCK_DIVISOR)`` units: a
+    600-unit plan is 37 blocks of 75, 66, 58, … down to 1.  The cut
+    depends on nothing but ``n_units``, so every drain of one plan
+    derives the same blocks whatever it has already resumed.
+    """
+    blocks, start = [], 0
+    while start < n_units:
+        size = -(-(n_units - start) // BLOCK_DIVISOR)
+        blocks.append(range(start, start + size))
+        start += size
+    return blocks
+
+
+@dataclass(eq=False)
+class _Block:
+    """Consecutive work units leased together under one key."""
+
+    lease: str
+    units: list[_Unit]
+
+    def pending(self) -> list[_Unit]:
+        return [unit for unit in self.units if any(unit.missing)]
+
+
+def _plan_blocks(units: list[_Unit]) -> list[_Block]:
+    """The claim blocks over ``units``; a block's lease key is the
+    content key of its members' store keys."""
+    blocks = []
+    for cut in guided_blocks(len(units)):
+        members = units[cut.start : cut.stop]
+        keys = [key for unit in members for key in unit.keys]
+        blocks.append(_Block(content_key({"claim_block": keys}), members))
+    return blocks
+
+
+def lease_blocks(
+    plan: SweepPlan, *, fused: bool | str = False
+) -> list[tuple[str, tuple[int, ...]]]:
+    """The claim blocks a cooperative drain of ``plan`` leases, in order.
+
+    Returns ``(lease key, member plan indices)`` pairs — what a
+    :class:`~repro.runtime.ClaimBoard` sees when ``run_plan(plan,
+    claim=True, fused=fused)`` drains, so tooling and tests can inspect
+    or plant leases without recomputing the cut.
+    """
+    units = _plan_units(plan, resolve_fused(fused))
+    return [
+        (block.lease, tuple(i for unit in block.units for i in unit.indices))
+        for block in _plan_blocks(units)
+    ]
 
 
 def _evaluate_unit(session, item):
@@ -423,8 +495,9 @@ def _evaluate_unit(session, item):
 def _adopt(store, unit: _Unit, points: list, *, poll: bool = False) -> None:
     """Place every stored member of ``unit`` and mark it found.
 
-    ``poll`` asks ``contains`` first: a claim round rescans the store
-    every round, and ``get`` alone would count each miss against it.
+    ``poll`` asks ``contains`` first: a claim round rescans the blocks
+    it visits every round, and ``get`` alone would count each miss
+    against the store.
     """
     for m, (index, key) in enumerate(zip(unit.indices, unit.keys)):
         if not unit.missing[m] or (poll and not store.contains(key)):
@@ -435,22 +508,11 @@ def _adopt(store, unit: _Unit, points: list, *, poll: bool = False) -> None:
             unit.missing[m] = False
 
 
-def _claim(board, store, unit: _Unit, points: list) -> bool:
-    """Win ``unit``'s lease with something left to compute.
-
-    After *winning*, re-check the store: the previous holder may have
-    published and released between the adoption scan and this claim.
-    Holding the lease freezes the members (publishers store *before*
-    releasing), so the re-check is race-free — this is what makes two
-    concurrent drains compute each member exactly once.
-    """
-    if not board.try_claim(unit.lease):
-        return False
-    _adopt(store, unit, points, poll=True)
-    if any(unit.missing):
-        return True
-    board.release(unit.lease)
-    return False
+def _adopt_block(store, block: _Block, points: list) -> list[_Unit]:
+    """Adopt ``block``'s stored members; return its units still missing."""
+    for unit in block.pending():
+        _adopt(store, unit, points, poll=True)
+    return block.pending()
 
 
 def _store_point(store, key: str, content: dict, point, spend) -> None:
@@ -463,6 +525,71 @@ def _store_point(store, key: str, content: dict, point, spend) -> None:
                 "spend": encode_spend(spend),
             },
         )
+
+
+def _claimed_rounds(board, store, units, points, want: int, poll_s: float):
+    """Yield batches of claimed units, releasing each batch's leases
+    after the caller has stored it.
+
+    A round walks the plan's blocks in order: it adopts the stored
+    members of each block it visits, claims blocks until it holds at
+    least ``want`` units to compute, and re-checks each won block
+    against the store — holding the lease freezes the members
+    (publishers store *before* releasing), so that re-check is what
+    makes concurrent drains compute each member exactly once.  A round
+    that wins nothing re-polls after a backoff that starts at
+    :data:`FIRST_POLL_S` and doubles up to ``poll_s``.
+    """
+    blocks = _plan_blocks(units)
+    delay = min(FIRST_POLL_S, poll_s)
+    while blocks:
+        batch, held = [], []
+        for block in blocks:
+            if len(batch) >= want:
+                break
+            if not _adopt_block(store, block, points) or not board.try_claim(
+                block.lease
+            ):
+                continue
+            mine = _adopt_block(store, block, points)
+            if mine:
+                batch.extend(mine)
+                held.append(block)
+            else:
+                board.release(block.lease)
+        if batch:
+            yield batch
+            for block in held:
+                board.release(block.lease)
+            delay = min(FIRST_POLL_S, poll_s)
+        blocks = [block for block in blocks if block.pending()]
+        if blocks and not batch:
+            time.sleep(delay)
+            delay = min(2 * delay, poll_s)
+
+
+@contextmanager
+def _heartbeat(board):
+    """Renew ``board``'s held leases every third of their TTL.
+
+    A block can hold thousands of units, so a healthy drain may hold a
+    lease longer than its TTL; the daemon thread keeps re-stamping it
+    until the drain ends, and a crashed drain stops renewing, so its
+    leases still expire.
+    """
+    stop = threading.Event()
+
+    def beat() -> None:
+        while not stop.wait(board.ttl_s / 3):
+            board.renew()
+
+    thread = threading.Thread(target=beat, name="lease-heartbeat", daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
 
 
 def _drain(
@@ -480,17 +607,16 @@ def _drain(
 ) -> SweepOutcome:
     """The one sweep loop over work units, claimed or not.
 
-    Resume per member; then each round (a) with claims, adopts members
-    another drain published and claims every unowned unit, (b) computes
-    the round's units through the executor, (c) walks the computed
-    members in plan order — record spend, persist — and (d) releases a
-    unit's lease once all its members are stored.  Spend before store
-    means a raise-mode overdraft aborts with every stored point paid
-    for; store before release means no member is ever neither claimed
-    nor stored.  A claimless drain is a single round that never touches
-    a board; a claimed round that wins nothing sleeps ``poll_s`` and
-    rescans, and a crashed owner's lease expires (``ttl_s``), so every
-    stall is bounded.  Cache hits debit nothing: their spend was
+    Resume per member; then each round (a) computes its units through
+    the executor, (b) walks the computed members in plan order — record
+    spend, persist — and, with claims, (c) releases the round's block
+    leases once all their members are stored.  Spend before store means
+    a raise-mode overdraft aborts with every stored point paid for;
+    store before release means no member is ever neither claimed nor
+    stored.  A claimless drain is a single round that never touches a
+    board; claimed rounds come from :func:`_claimed_rounds`, whose
+    polls back off, and a crashed owner's lease expires (``ttl_s``), so
+    every stall is bounded.  Cache hits debit nothing: their spend was
     recorded by whoever computed them.
     """
     executor = resolve_executor(executor, workers) or SerialExecutor()
@@ -499,60 +625,55 @@ def _drain(
     spends: dict[int, LedgerEntry] = {}
     computed = 0
 
-    pending = _plan_units(plan, family)
+    units = _plan_units(plan, family)
     if store is not None and resume:
-        for unit in pending:
+        for unit in units:
             _adopt(store, unit, points)
-        pending = [unit for unit in pending if any(unit.missing)]
-    try:
-        while pending:
-            batch = pending
-            if board is not None:
-                for unit in pending:
-                    _adopt(store, unit, points, poll=True)
-                batch = [
-                    unit
-                    for unit in pending
-                    if any(unit.missing) and _claim(board, store, unit, points)
-                ]
-            if batch:
-                outcomes = _executor_map(
-                    executor,
-                    _evaluate_unit,
-                    session,
-                    [unit.item() for unit in batch],
-                )
-                members = sorted(
-                    (
-                        (index, unit, m, unit_points[m], unit_spends[m])
-                        for unit, (unit_points, unit_spends) in zip(
-                            batch, outcomes
-                        )
-                        for m, index in enumerate(unit.indices)
-                        if unit.missing[m]
-                    ),
-                    key=lambda member: member[0],
-                )
-                for index, unit, m, point, spend in members:
-                    points[index] = point
-                    if spend is not None:
-                        spends[index] = spend
-                        if merge_spend:
-                            session.ledger.record(spend)
-                    if store is not None:
-                        _store_point(
-                            store, unit.keys[m], unit.contents[m], point, spend
-                        )
-                    unit.missing[m] = False
-                    if board is not None and not any(unit.missing):
-                        board.release(unit.lease)
-                computed += len(members)
-            pending = [unit for unit in pending if any(unit.missing)]
-            if pending and not batch:
-                time.sleep(poll_s)
-    finally:
-        if board is not None:
-            board.release_all()
+    with ExitStack() as stack:
+        if board is None:
+            pending = [unit for unit in units if any(unit.missing)]
+            rounds = [pending] if pending else []
+        else:
+            stack.callback(board.release_all)
+            stack.enter_context(_heartbeat(board))
+            # Blocks are cut from every unit, not just the pending ones,
+            # so all drains lease the same keys whatever they resumed.
+            rounds = _claimed_rounds(
+                board,
+                store,
+                units,
+                points,
+                getattr(executor, "workers", 1),
+                poll_s,
+            )
+        for batch in rounds:
+            outcomes = _executor_map(
+                executor,
+                _evaluate_unit,
+                session,
+                [unit.item() for unit in batch],
+            )
+            members = sorted(
+                (
+                    (index, unit, m, unit_points[m], unit_spends[m])
+                    for unit, (unit_points, unit_spends) in zip(batch, outcomes)
+                    for m, index in enumerate(unit.indices)
+                    if unit.missing[m]
+                ),
+                key=lambda member: member[0],
+            )
+            for index, unit, m, point, spend in members:
+                points[index] = point
+                if spend is not None:
+                    spends[index] = spend
+                    if merge_spend:
+                        session.ledger.record(spend)
+                if store is not None:
+                    _store_point(
+                        store, unit.keys[m], unit.contents[m], point, spend
+                    )
+                unit.missing[m] = False
+            computed += len(members)
 
     return SweepOutcome(
         plan=plan,

@@ -13,10 +13,12 @@ the missing coordination primitive on top of any
   (:meth:`~repro.storage.StorageBackend.put_if_absent`).  Exactly one
   drain wins; the others defer and poll the store for the winner's
   result instead of recomputing it.
-- **TTL + owner id**: a lease records who took it and when.  A holder
-  that crashes mid-compute never releases, so leases *expire*: once a
-  lease is older than its TTL, any waiting drain may take it over
-  (overwrite the lease and compute).
+- **TTL + owner id + renewal**: a lease records who took it and when.
+  A live holder re-stamps its leases (:meth:`ClaimBoard.renew`, run by
+  the drain's heartbeat every third of the TTL); a holder that crashes
+  mid-compute stops renewing and never releases, so its leases
+  *expire*: once a lease is older than its TTL, any waiting drain may
+  take it over (overwrite the lease and compute).
 - **last-writer-wins stays the safety net**: claims are an
   optimization, never a correctness mechanism.  Two drains that both
   believe they hold a lease (an expiry race, a partitioned network, an
@@ -26,8 +28,8 @@ the missing coordination primitive on top of any
 
 Clock caveat: expiry compares the lease's ``acquired_at`` wall-clock
 stamp against the *reader's* clock, so cross-machine takeover tolerates
-clock skew up to the TTL.  Keep TTLs comfortably above both the unit
-compute time and the fleet's clock skew.
+clock skew up to the TTL.  Keep TTLs comfortably above the fleet's
+clock skew; renewal, not the TTL, covers long computes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import json
 import os
 import secrets
 import socket
+import threading
 import time
 from dataclasses import dataclass
 
@@ -47,9 +50,9 @@ __all__ = [
     "default_owner",
 ]
 
-# Long enough that no healthy drain loses a lease mid-compute (grid
-# units take seconds, not minutes), short enough that a crashed owner's
-# work is reclaimed promptly.
+# Long enough that a renewing drain never loses a lease to a slow
+# heartbeat, short enough that a crashed owner's work is reclaimed
+# promptly.
 DEFAULT_LEASE_TTL_S = 300.0
 
 # Lease files live beside the payloads they guard, under their own
@@ -117,7 +120,9 @@ class ClaimBoard:
 
     One board per drain: the board's ``owner`` id is what lease files
     record, and :meth:`try_claim` is re-entrant for the same owner (a
-    takeover round may re-claim keys this drain already holds).
+    takeover round may re-claim keys this drain already holds).  The
+    held set is lock-guarded, so a heartbeat thread may :meth:`renew`
+    while the drain claims and releases.
     """
 
     def __init__(
@@ -133,6 +138,7 @@ class ClaimBoard:
         self.ttl_s = DEFAULT_LEASE_TTL_S if ttl_s is None else float(ttl_s)
         self.prefix = prefix.strip("/")
         self._held: set[str] = set()
+        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         return (
@@ -173,36 +179,64 @@ class ClaimBoard:
         lease_key = self.lease_key(key)
         mine = self._fresh_lease()
         if self.backend.put_if_absent(lease_key, mine.to_json()):
-            self._held.add(key)
-            return True
+            return self._hold(key)
         current = self.holder(key)
         if current is not None and current.owner == self.owner:
-            self._held.add(key)
-            return True
+            return self._hold(key)
         if current is not None and not current.expired():
             return False
         # Absent (released between our put and read), unreadable, or
         # expired: take over, then confirm the takeover stuck.
         self.backend.put_file(lease_key, mine.to_json())
-        confirmed = self.holder(key)
-        if confirmed is not None and confirmed.owner == self.owner:
-            self._held.add(key)
-            return True
+        if self._mine(key):
+            return self._hold(key)
         return False
+
+    def _hold(self, key: str) -> bool:
+        with self._lock:
+            self._held.add(key)
+        return True
+
+    def _mine(self, key: str) -> bool:
+        current = self.holder(key)
+        return current is not None and current.owner == self.owner
+
+    def renew(self) -> int:
+        """Re-stamp every held lease and read it back; returns the count kept.
+
+        A drain holding a lease longer than its TTL (a long claim
+        block) renews it so no waiting drain takes it over.  A lease
+        that is no longer ours — it expired and another drain took it
+        over — is dropped from :attr:`held`, never stolen back.
+        """
+        kept = 0
+        with self._lock:
+            for key in sorted(self._held):
+                if self._mine(key):
+                    self.backend.put_file(
+                        self.lease_key(key), self._fresh_lease().to_json()
+                    )
+                    if self._mine(key):
+                        kept += 1
+                        continue
+                self._held.discard(key)
+        return kept
 
     def release(self, key: str) -> bool:
         """Drop ``key``'s lease (done computing, or abandoning it)."""
-        self._held.discard(key)
-        return self.backend.delete(self.lease_key(key))
+        with self._lock:
+            self._held.discard(key)
+            return self.backend.delete(self.lease_key(key))
 
     def release_all(self) -> int:
         """Release every lease this board still holds; returns the count."""
         released = 0
-        for key in sorted(self._held):
+        for key in sorted(self.held):
             released += bool(self.release(key))
         return released
 
     @property
     def held(self) -> frozenset[str]:
         """The keys this board currently believes it holds."""
-        return frozenset(self._held)
+        with self._lock:
+            return frozenset(self._held)

@@ -18,7 +18,7 @@ from repro.engine.evaluate import fused_family_points
 from repro.engine.plan import fused_families, grid_plan
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
-from repro.engine.sweep import run_plan
+from repro.engine.sweep import guided_blocks, lease_blocks, run_plan
 
 from .test_golden import FIGURE_GOLDEN, run_figure_plan
 
@@ -165,7 +165,7 @@ class TestFamilyAnalytic:
 
 
 class TestFamilyStore:
-    """Default point keys, family member keys and family lease keys are
+    """Default point keys, family member keys and block lease keys are
     pairwise disjoint, and family resume is member-precise."""
 
     def test_family_keys_disjoint_from_plain_keys(self, session):
@@ -178,9 +178,9 @@ class TestFamilyStore:
             for fam in families
             for i in fam.indices
         }
-        lease = {fam.key(plan.fingerprint) for fam in families}
+        lease = {key for key, _ in lease_blocks(plan, fused="family")}
         assert len(plain) == len(member) == len(plan.points)
-        assert len(lease) == len(families)
+        assert len(lease) == len(guided_blocks(len(families)))
         assert plain.isdisjoint(member)
         assert lease.isdisjoint(plain | member)
 

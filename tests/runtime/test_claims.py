@@ -102,6 +102,34 @@ class TestClaimBoard:
         holder = b.holder("key-1")
         assert holder is not None and holder.owner == "a"
 
+    def test_renew_keeps_a_lease_past_its_ttl(self, backend):
+        a = board(backend, "a", ttl_s=0.1)
+        assert a.try_claim("key-1")
+        first = a.holder("key-1").acquired_at
+        for _ in range(3):
+            time.sleep(0.05)
+            assert a.renew() == 1
+        # Held 0.15 s on a 0.1 s TTL, yet fresh: nobody can take it over.
+        assert a.holder("key-1").acquired_at > first
+        assert not board(backend, "b").try_claim("key-1")
+
+    def test_renew_drops_a_lease_taken_over(self, backend):
+        a = board(backend, "a", ttl_s=0.02)
+        assert a.try_claim("key-1")
+        time.sleep(0.05)
+        assert board(backend, "b").try_claim("key-1")
+        assert a.renew() == 0
+        assert a.held == frozenset()
+        assert a.holder("key-1").owner == "b"
+
+    def test_renew_never_resurrects_a_released_lease(self, backend):
+        a = board(backend, "a")
+        assert a.try_claim("key-1") and a.try_claim("key-2")
+        assert a.release("key-1")
+        assert a.renew() == 1
+        assert a.holder("key-1") is None
+        assert a.held == frozenset({"key-2"})
+
     def test_holder_of_unclaimed_key_is_none(self, backend):
         assert board(backend, "a").holder("nope") is None
 

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main, run_figures, run_tables
 
 
@@ -394,3 +400,34 @@ class TestStorageCommand:
             assert code == 0
         out = capsys.readouterr().out
         assert f"remote: {server.url}" in out
+
+
+class TestImportFootprint:
+    def test_sweeps_never_import_scipy(self, tmp_path):
+        """scipy.sparse serves only the SDL histograms and the attacks:
+        a claimless and a claimed sweep run without loading scipy."""
+        script = """
+import sys
+import repro.cli
+
+argv = [
+    "sweep", "--workload", "workload-1", "--jobs", "4000", "--trials", "2",
+    "--alphas", "0.1", "--epsilons", "1,2", "--tag", "footprint",
+    "--snapshot-dir", sys.argv[1] + "/snaps",
+    "--cache-dir", sys.argv[1] + "/cache", "--out", sys.argv[1] + "/out",
+]
+assert repro.cli.main(argv) == 0
+assert repro.cli.main(argv + ["--claim"]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+        src = Path(repro.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
