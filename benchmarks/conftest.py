@@ -49,6 +49,7 @@ def write_report(out_dir: Path, name: str, text: str) -> None:
 
 def merge_bench_json(path: Path, fields: dict) -> None:
     """Fold ``fields`` into the BENCH JSON at ``path``, keeping other keys."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {}
     if path.is_file():
         try:

@@ -15,25 +15,23 @@ The zero-duplicate acceptance gate is asserted unconditionally: the two
 drains' computed counts and store write counters must sum to exactly
 the grid size.  The ≥``MIN_FLEET_DRAIN_SPEEDUP``× wall-clock gate needs
 real parallelism, so it is cpu-gated (recorded, then skipped on
-single-core machines); timings land in ``BENCH_grid.json`` beside the
-other sweep-engine numbers.
+single-core machines); timings land in ``benchmarks/out/BENCH_grid.json``
+beside the other sweep-engine numbers.
 """
 
 import multiprocessing
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import merge_bench_json, write_report
+from benchmarks.conftest import OUT_DIR, merge_bench_json, write_report
 from repro.engine.plan import grid_plan, snapshot_fingerprint
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
 from repro.util import format_table
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_grid.json"
+BENCH_JSON = OUT_DIR / "BENCH_grid.json"
 
 MECHANISMS = ("log-laplace", "smooth-laplace", "smooth-gamma")
 ALPHAS = (0.05, 0.2)

@@ -12,7 +12,7 @@ rank statistics.
 This suite pins the acceptance gate: the fused Figure-1 and Figure-2
 grids must each run ≥``MIN_FUSED_SPEEDUP``× faster than the per-point
 serial path at n_trials=100.  The measured values land in
-``BENCH_grid.json`` next to the executor/replay timings.
+``benchmarks/out/BENCH_grid.json`` next to the driver/replay timings.
 """
 
 from dataclasses import replace
@@ -22,9 +22,9 @@ import pytest
 from benchmarks.conftest import merge_bench_json, write_report
 from benchmarks.test_batched_trials import _best_of
 from benchmarks.test_sweep_engine import BENCH_JSON
-from repro.engine.executors import SerialExecutor
 from repro.engine.plan import figure_plan
 from repro.engine.sweep import run_plan
+from repro.runtime import SerialDriver
 from repro.util import format_table
 
 N_TRIALS = 100
@@ -39,12 +39,12 @@ def test_fused_grid_speedup(bench_config, context, out_dir, name):
 
     # Warm every trial-invariant cache (statistics, envelopes, SDL rank
     # stats) so both timings compare grid execution only.
-    serial = run_plan(plan, context, executor=SerialExecutor(), merge_spend=False)
+    serial = run_plan(plan, context, executor=SerialDriver(), merge_spend=False)
     fused = run_plan(plan, context, merge_spend=False, fused=True)
 
     serial_s = _best_of(
         lambda: run_plan(
-            plan, context, executor=SerialExecutor(), merge_spend=False
+            plan, context, executor=SerialDriver(), merge_spend=False
         )
     )
     fused_s = _best_of(

@@ -13,9 +13,9 @@ service exists for:
   ledger after the hammering equals the ledger after the first pass
   entry-for-entry.
 
-Timings land in ``BENCH_serve.json`` at the repo root (companion of
-``BENCH_trials.json`` / ``BENCH_snapshot.json`` / ``BENCH_grid.json``)
-so successive PRs can diff serving performance.
+Timings land in ``benchmarks/out/BENCH_serve.json`` (untracked, so a test
+run leaves the tree clean); the tracked root ``BENCH_serve.json``
+changes only when a run is deliberately copied over it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from __future__ import annotations
 import statistics
 import threading
 import time
-from pathlib import Path
 
-from benchmarks.conftest import merge_bench_json, write_report
+from benchmarks.conftest import OUT_DIR, merge_bench_json, write_report
 from repro.api import ReleaseRequest
 from repro.engine.store import ResultStore
 from repro.serve import (
@@ -39,8 +38,7 @@ from repro.serve import (
 from repro.util import format_table
 from tests.serve.conftest import ServiceRunner
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_serve.json"
+BENCH_JSON = OUT_DIR / "BENCH_serve.json"
 
 SCENARIO = "national-1m"
 N_CLIENTS = 16

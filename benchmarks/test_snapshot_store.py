@@ -21,9 +21,9 @@ through the chunked generator):
   physical impossibility below that (the measurement is still taken
   and recorded).
 
-Timings land in ``BENCH_snapshot.json`` at the repo root (companion of
-``BENCH_trials.json`` and ``BENCH_grid.json``) so successive PRs can
-diff them.
+Timings land in ``benchmarks/out/BENCH_snapshot.json`` (untracked, so a
+test run leaves the tree clean); the tracked root ``BENCH_snapshot.json``
+changes only when a run is deliberately copied over it.
 """
 
 import json
@@ -34,14 +34,13 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import merge_bench_json, write_report
+from benchmarks.conftest import OUT_DIR, merge_bench_json, write_report
 from repro.data.generator import generate
 from repro.scenarios import SnapshotStore, dataset_fingerprint, scenario_config
 from repro.storage import FilesystemObjectStore, RemoteObjectBackend
 from repro.util import format_table
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_snapshot.json"
+BENCH_JSON = OUT_DIR / "BENCH_snapshot.json"
 
 SCENARIO = "national-1m"
 MIN_LOAD_SPEEDUP = 5.0

@@ -1,4 +1,4 @@
-"""EXP-B2 — Sweep-engine wall clock: executors and cache replay.
+"""EXP-B2 — Sweep-engine wall clock: drivers and cache replay.
 
 The figures are (mechanism × α × ε) grids of Monte Carlo points; PR 1
 batched the *inner* trial loop, and the sweep engine parallelizes the
@@ -12,26 +12,25 @@ store.  This suite records, on a paper-scale snapshot:
   gate — the acceptance criterion that a second ``--resume`` run
   recomputes zero points is asserted via the store's hit counter.
 
-Timings land in ``BENCH_grid.json`` at the repo root (the sweep-engine
-companion of ``BENCH_trials.json``) so successive PRs can diff them.
+Timings land in ``benchmarks/out/BENCH_grid.json`` (untracked, so a test
+run leaves the tree clean); the tracked root ``BENCH_grid.json`` changes
+only when a run is deliberately copied over it.
 """
 
 import time
-from pathlib import Path
 
-from benchmarks.conftest import merge_bench_json, write_report
+from benchmarks.conftest import OUT_DIR, merge_bench_json, write_report
 from repro.api.session import ReleaseSession
-from repro.engine.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.engine.plan import grid_plan, snapshot_fingerprint
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
+from repro.runtime import ProcessDriver, SerialDriver, ThreadDriver
 from repro.scenarios import SnapshotStore
 from repro.storage import FilesystemObjectStore, RemoteObjectBackend
 from repro.util import format_table
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_grid.json"
+BENCH_JSON = OUT_DIR / "BENCH_grid.json"
 
 MECHANISMS = ("log-laplace", "smooth-laplace", "smooth-gamma")
 ALPHAS = (0.05, 0.2)
@@ -72,19 +71,19 @@ def test_sweep_engine_wall_clock(context, out_dir, tmp_path):
     # Warm the session's workload-statistics cache so the timings compare
     # grid execution, not one-off prologue work.
     serial_warm = run_plan(
-        plan, context, executor=SerialExecutor(), merge_spend=False
+        plan, context, executor=SerialDriver(), merge_spend=False
     )
 
     serial, serial_s = _timed(
         lambda: run_plan(
-            plan, context, executor=SerialExecutor(), merge_spend=False
+            plan, context, executor=SerialDriver(), merge_spend=False
         )
     )
     thread, thread_s = _timed(
         lambda: run_plan(
             plan,
             context,
-            executor=ThreadExecutor(workers=WORKERS),
+            executor=ThreadDriver(workers=WORKERS),
             merge_spend=False,
         )
     )
@@ -92,7 +91,7 @@ def test_sweep_engine_wall_clock(context, out_dir, tmp_path):
         lambda: run_plan(
             plan,
             context,
-            executor=ProcessExecutor(workers=WORKERS),
+            executor=ProcessDriver(workers=WORKERS),
             merge_spend=False,
         )
     )

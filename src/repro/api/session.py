@@ -18,7 +18,7 @@ Three execution surfaces:
 - :meth:`ReleaseSession.run_grid` fans a list of requests — typically a
   (mechanism × α × ε) product from :meth:`ReleaseRequest.grid` — through
   the batched trial engine, optionally in parallel through a
-  :mod:`repro.engine.executors` executor.
+  :mod:`repro.runtime` driver.
 - :meth:`ReleaseSession.evaluate_point` computes one figure point
   (L1-error ratio or Spearman correlation, overall + per stratum)
   through the streaming reducers of :mod:`repro.engine.evaluate`.
@@ -33,8 +33,11 @@ the records into the parent ledger afterwards so accounting stays exact
 under parallelism.
 
 The session's statistic caches are lock-guarded, so threads sharing one
-session (e.g. :class:`~repro.engine.executors.ThreadExecutor`) compute
-each trial-invariant statistic exactly once.
+session (e.g. a :class:`~repro.runtime.ThreadDriver` sweep) compute
+each trial-invariant statistic exactly once.  A session crosses a
+process boundary as its rebuild *recipe* — ``(config, worker_attrs,
+snapshot store spec)`` — which :func:`_worker_session` turns back into
+one cached, ledger-free session per worker process.
 """
 
 from __future__ import annotations
@@ -113,8 +116,8 @@ class ReleaseSession:
         self.config = config
         self.worker_attrs = tuple(worker_attrs)
         # Whether the snapshot can be rebuilt from config alone: a
-        # provided dataset cannot (ProcessExecutor refuses such
-        # sessions, and the snapshot fingerprint must not pretend the
+        # provided dataset cannot (such a session refuses to pickle,
+        # and the snapshot fingerprint must not pretend the
         # data came from config.data).  A store-loaded snapshot *is* the
         # config dataset (same fingerprint, same bytes), just opened as
         # a read-only memory map instead of regenerated.
@@ -147,10 +150,38 @@ class ReleaseSession:
         self._release_cache: dict = {}
         self._baseline_cache: dict = {}
         # Guards the caches above: threads sharing this session (e.g. a
-        # ThreadExecutor sweep) must compute each trial-invariant
+        # ThreadDriver sweep) must compute each trial-invariant
         # statistic exactly once.  Reentrant because statistics() can
         # recurse into _baseline() on some paths.
         self._cache_lock = threading.RLock()
+
+    def __reduce__(self):
+        """Pickle as a rebuild recipe, not as arrays.
+
+        What crosses a process boundary is ``(config, worker_attrs,
+        snapshot store spec)``; :func:`_worker_session` rebuilds the
+        session from it (opening the persisted snapshot when a store
+        holds one) and caches it per process.  The rebuilt session is
+        bit-identical to this one — same fingerprint, same bytes — with
+        an empty ledger: spend records travel back with the results.
+        """
+        if self.dataset_provided:
+            raise ValueError(
+                "cannot ship a session built over an explicitly provided "
+                "dataset to another process: it would be rebuilt from its "
+                "config, which regenerates a different (synthetic) "
+                "snapshot and silently changes results; use the serial "
+                "or thread executor instead"
+            )
+        store = self.snapshot_store
+        return (
+            _worker_session,
+            (
+                self.config,
+                self.worker_attrs,
+                None if store is None else store.spec(),
+            ),
+        )
 
     @classmethod
     def from_synthetic(
@@ -364,7 +395,7 @@ class ReleaseSession:
         """Execute one request *without* recording its privacy spend.
 
         Returns the result plus the detached spend record.  This is the
-        engine's worker entry point: parallel executors evaluate against
+        engine's worker entry point: parallel drivers evaluate against
         rebuilt (budget-less) sessions and hand the records back for the
         parent ledger to :meth:`~repro.api.ledger.PrivacyLedger.merge`
         in deterministic order.  Callers wanting the historical one-step
@@ -517,20 +548,20 @@ class ReleaseSession:
         marginal's true counts, mask and xv exactly once and each point
         only draws its ``(n_trials, n_cells)`` noise matrix.
 
-        ``executor``/``workers`` submit the grid to the sweep engine's
-        executors (:mod:`repro.engine.executors`): requests evaluate in
+        ``executor``/``workers`` resolve to a :mod:`repro.runtime`
+        driver (:func:`~repro.runtime.resolve_driver`): requests evaluate in
         parallel — each carries its own seed, so results are bit-identical
         to the serial path — and their spend records merge into this
         session's ledger in request order, keeping accounting exact and
         deterministic.  Without either knob the historical sequential
         path runs (each request debits as it executes).
         """
-        from repro.engine.executors import resolve_executor
+        from repro.runtime.drivers import resolve_driver
 
-        resolved = resolve_executor(executor, workers)
-        if resolved is None:
+        driver = resolve_driver(executor, workers)
+        if driver is None:
             return [self.run(request) for request in requests]
-        outcomes = resolved.map(_execute_request, self, list(requests))
+        outcomes = driver.map(_execute_request, self, list(requests))
         self.ledger.merge([spend for _, spend in outcomes])
         return [result for result, _ in outcomes]
 
@@ -708,8 +739,43 @@ class ReleaseSession:
 
 
 def _execute_request(session: ReleaseSession, request: ReleaseRequest):
-    """Executor task: one request → (result, spend record), no debit.
+    """Driver task: one request → (result, spend record), no debit.
 
     Module-level so process pools can pickle it by reference.
     """
     return session.execute(request)
+
+
+def _worker_session(config, worker_attrs, store_spec) -> ReleaseSession:
+    """Rebuild (or reuse) this process's session from its pickled recipe.
+
+    What :meth:`ReleaseSession.__reduce__` ships.  One session per
+    (config, worker_attrs, snapshot source) per process: a worker that
+    receives several shards of the same sweep regenerates nothing.  With
+    ``store_spec`` (the parent's :class:`~repro.scenarios.SnapshotStore`
+    described by :meth:`~repro.scenarios.SnapshotStore.spec` — a plain
+    dict naming the backend, so local roots reattach and remote backends
+    reconnect) the worker *opens* the parent's persisted snapshot as a
+    read-only memory map instead of regenerating it — the parent saved
+    it when it built its session, so workers share physical pages and
+    pay only the SDL fit.  Either way the session is bit-identical to
+    the parent's, and its ledger stays untouched.
+    """
+    global _WORKER_SESSION
+    key = (repr(config), tuple(worker_attrs), repr(store_spec))
+    cached = _WORKER_SESSION
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    store = None
+    if store_spec is not None:
+        from repro.scenarios.store import SnapshotStore
+
+        store = SnapshotStore.from_spec(store_spec)
+    session = ReleaseSession(
+        config, worker_attrs=worker_attrs, snapshot_store=store
+    )
+    _WORKER_SESSION = (key, session)
+    return session
+
+
+_WORKER_SESSION: tuple | None = None

@@ -259,10 +259,11 @@ JOB_ARRAYS: tuple[str, ...] = ("job_worker", "job_establishment")
 class _ShardedBuildContext:
     """Everything a build worker needs, picklable in one piece.
 
-    Shipped once per worker shard by :func:`repro.runtime.run_sharded`:
-    the O(establishments) plan arrays, the per-place mixes, the advanced
-    chunk-0 generator (pickled with its exact bit-stream position) and
-    the target ``.npy`` paths the chunk slices land in.
+    Pickled once by :meth:`repro.runtime.ProcessDriver.map` and
+    unpickled once per worker shard: the O(establishments) plan arrays,
+    the per-place mixes, the advanced chunk-0 generator (pickled with its
+    exact bit-stream position) and the target ``.npy`` paths the chunk
+    slices land in.
     """
 
     sizes: np.ndarray
@@ -314,7 +315,6 @@ def build_workforce_sharded(
     chunk_jobs: int,
     paths: dict[str, Path | str],
     workers: int = 1,
-    start_method: str | None = None,
 ) -> int:
     """Write the workforce directly into ``.npy`` files, chunks in parallel.
 
@@ -361,13 +361,6 @@ def build_workforce_sharded(
         base_seed=base_seed,
         paths=str_paths,
     )
-    from repro.runtime import run_sharded
+    from repro.runtime import ProcessDriver
 
-    written = run_sharded(
-        _write_chunk,
-        items,
-        workers=workers,
-        context_args=(context,),
-        start_method=start_method,
-    )
-    return int(sum(written))
+    return int(sum(ProcessDriver(workers).map(_write_chunk, context, items)))

@@ -181,7 +181,7 @@ def points_identical(a: SeriesPoint, b: SeriesPoint) -> bool:
     """Bit-level equality of two points, treating NaN as equal to NaN.
 
     Dataclass ``==`` fails on infeasible points (their values are NaN and
-    ``nan != nan``); the executor-equivalence tests and the result store
+    ``nan != nan``); the driver-equivalence tests and the result store
     use this instead.
     """
     if (a.mechanism, a.theta, a.feasible) != (b.mechanism, b.theta, b.feasible):

@@ -12,13 +12,13 @@ serves a mechanism's whole α×ε grid — and runs one loop over them:
 2. with ``claim=True``, lease **blocks** of consecutive units on the
    store's claim board (guided self-scheduling: long blocks first, single
    units last), adopting the members other drains published;
-3. fan the units through an :class:`~repro.engine.executors.Executor`
-   (serial by default; thread or process pools for parallel sweeps) via
-   the non-debiting session outcome methods, so workers never touch a
-   ledger;
+3. fan the units through a :mod:`repro.runtime` driver's
+   ``map(fn, session, units)`` (serial by default; thread or process
+   pools for parallel sweeps) via the non-debiting session outcome
+   methods, so workers never touch a ledger;
 4. record each **computed** point's spend on the parent session's
    ledger and then persist the point to the store, walking plan order
-   — accounting is exact and deterministic no matter which executor ran
+   — accounting is exact and deterministic no matter which driver ran
    the units, and a raise-mode overdraft aborts before the offending
    point is ever cached;
 5. release a block's lease only after all its members are stored.
@@ -40,7 +40,6 @@ from functools import partial
 from repro.api.ledger import LedgerEntry
 from repro.core.params import EREEParams
 from repro.engine import profile as stage_profile
-from repro.engine.executors import SerialExecutor, resolve_executor
 from repro.engine.plan import (
     TRUNCATED_LAPLACE,
     FusedFamily,
@@ -50,6 +49,7 @@ from repro.engine.plan import (
 )
 from repro.engine.points import FigureSeries, SeriesPoint
 from repro.engine.store import ResultStore, content_key
+from repro.runtime.drivers import SerialDriver, resolve_driver
 
 __all__ = [
     "SweepOutcome",
@@ -81,7 +81,7 @@ def resolve_workload(name: str):
 def evaluate_point_spec(session, spec: PointSpec):
     """Task function: one spec → ``(SeriesPoint, LedgerEntry | None)``.
 
-    Module-level (hence picklable by reference) so every executor — in
+    Module-level (hence picklable by reference) so every driver — in
     particular process pools — can run it.  The spend record is built
     but **not** debited; the parent merges it.
     """
@@ -135,7 +135,7 @@ def evaluate_fused_family(session, item):
 
 
 def _profiled_task(fn, session, item):
-    """Run one executor task under its own profiler scope.
+    """Run one driver task under its own profiler scope.
 
     Process-pool workers cannot see the parent's module-global profiler,
     so a profiled sweep ships each task wrapped in this: the worker
@@ -147,10 +147,10 @@ def _profiled_task(fn, session, item):
     return result, (os.getpid(), prof.as_dict())
 
 
-def _executor_map(executor, fn, session, items):
-    """``executor.map`` that keeps stage attribution across process pools.
+def _driver_map(driver, fn, session, items):
+    """``driver.map`` that keeps stage attribution across process pools.
 
-    Serial and thread executors run tasks in this process, where the
+    Serial and thread drivers run tasks in this process, where the
     active profiler already sees the kernels, so they map straight
     through (the per-task wrapper would also race on the module global
     under threads).  A process pool under an active profiler gets the
@@ -159,11 +159,11 @@ def _executor_map(executor, fn, session, items):
     """
     if not (
         stage_profile.active()
-        and getattr(executor, "name", None) == "process"
-        and getattr(executor, "workers", 1) > 1
+        and getattr(driver, "name", None) == "process"
+        and getattr(driver, "workers", 1) > 1
     ):
-        return executor.map(fn, session, items)
-    outcomes = executor.map(partial(_profiled_task, fn), session, items)
+        return driver.map(fn, session, items)
+    outcomes = driver.map(partial(_profiled_task, fn), session, items)
     results = []
     for result, (pid, worker_profile) in outcomes:
         stage_profile.merge_worker(pid, worker_profile)
@@ -272,7 +272,7 @@ def run_plan(
     """Execute a sweep plan: resume from the store, fan out the rest.
 
     ``executor``/``workers`` resolve through
-    :func:`~repro.engine.executors.resolve_executor` (serial when
+    :func:`~repro.runtime.resolve_driver` to a driver (serial when
     neither is given).  With a ``store``, newly computed points are
     always persisted; they are *read back* only when ``resume=True``, so
     a default run stays a full recomputation while writing the cache a
@@ -370,7 +370,7 @@ class _Unit:
     missing: list[bool]
 
     def item(self):
-        """The executor item: the spec itself, or ``(family, mask)``."""
+        """The driver item: the spec itself, or ``(family, mask)``."""
         if isinstance(self.task, PointSpec):
             return self.task
         return self.task, tuple(self.missing)
@@ -608,7 +608,7 @@ def _drain(
     """The one sweep loop over work units, claimed or not.
 
     Resume per member; then each round (a) computes its units through
-    the executor, (b) walks the computed members in plan order — record
+    the driver, (b) walks the computed members in plan order — record
     spend, persist — and, with claims, (c) releases the round's block
     leases once all their members are stored.  Spend before store means
     a raise-mode overdraft aborts with every stored point paid for;
@@ -619,7 +619,7 @@ def _drain(
     every stall is bounded.  Cache hits debit nothing: their spend was
     recorded by whoever computed them.
     """
-    executor = resolve_executor(executor, workers) or SerialExecutor()
+    driver = resolve_driver(executor, workers) or SerialDriver()
     n_points = len(plan.points)
     points: list[SeriesPoint | None] = [None] * n_points
     spends: dict[int, LedgerEntry] = {}
@@ -643,12 +643,12 @@ def _drain(
                 store,
                 units,
                 points,
-                getattr(executor, "workers", 1),
+                getattr(driver, "workers", 1),
                 poll_s,
             )
         for batch in rounds:
-            outcomes = _executor_map(
-                executor,
+            outcomes = _driver_map(
+                driver,
                 _evaluate_unit,
                 session,
                 [unit.item() for unit in batch],

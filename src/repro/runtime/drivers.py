@@ -1,32 +1,40 @@
 """Task placement drivers: serial, thread pool, and crash-tolerant processes.
 
-A driver runs a :class:`~repro.runtime.taskset.TaskSet` and returns the
-results in item order.  Because every task is self-seeded and the
-context is rebuilt from a spec, *which* driver ran a task — and whether
-it ran once or was retried after a worker crash — cannot change the
-result.
+A driver maps a module-level task function ``fn(context, item)`` over an
+item list and returns the results **in item order**, whatever order the
+work ran in.  Because every item is self-seeded (its randomness derives
+from its content, never from its position in a schedule), *which*
+driver ran a task — and whether it ran once or was retried after a
+worker crash — cannot change the result.
 
-- :class:`SerialDriver` — the reference implementation: build the
-  context once, loop.  Every other driver must be bit-identical to it.
-- :class:`ThreadDriver` — a thread pool sharing one in-process context
+- :class:`SerialDriver` — the reference implementation: one loop in the
+  calling thread.  Every other driver must be bit-identical to it.
+- :class:`ThreadDriver` — a thread pool sharing the in-process context
   (the repo's contexts are lock-guarded; the NumPy kernels release the
   GIL for large draws).
 - :class:`ProcessDriver` — true parallelism: items are sharded
-  round-robin across worker processes, each of which builds its context
-  **once** and streams its shard through the task function.  A worker
-  that *crashes* (OOM-killed, segfaulted, ``kill -9``) does not abort
-  the run: the shards whose results never came back are resubmitted to
-  a fresh pool — bounded by ``max_shard_retries`` — and because tasks
+  round-robin across worker processes.  The context is pickled **once**
+  in the parent and unpickled once per shard, so whatever a context
+  pickles as — a plain value, or a rebuild recipe such as a
+  :class:`~repro.api.session.ReleaseSession`'s ``(config, worker_attrs,
+  snapshot store spec)`` — is what each worker gets.  A worker that
+  *crashes* (OOM-killed, segfaulted, ``kill -9``) does not abort the
+  run: the shards whose results never came back are resubmitted to a
+  fresh pool — bounded by :data:`MAX_SHARD_RETRIES` — and because tasks
   are self-seeded the retried results are bit-identical to what the
   dead worker would have produced.  Ordinary task *exceptions* are not
   retried; they propagate (a deterministic error would just fail again).
+
+:func:`resolve_driver` turns the user-facing ``executor=``/``workers=``
+knobs (and the CLI's ``--executor``/``--workers``) into a driver.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
@@ -34,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Protocol, runtime_checkable
 
-from repro.runtime.taskset import ContextSpec, TaskSet
+from repro.runtime.policy import default_workers
 
 __all__ = [
     "Driver",
@@ -42,8 +50,10 @@ __all__ = [
     "SerialDriver",
     "ThreadDriver",
     "ProcessDriver",
-    "run_sharded",
+    "DRIVER_NAMES",
+    "resolve_driver",
     "KILL_TASK_ENV",
+    "MAX_SHARD_RETRIES",
 ]
 
 # Deterministic fault injection for crash-recovery tests: when set to
@@ -54,10 +64,15 @@ __all__ = [
 # (serial/thread) paths, so it cannot kill the parent process.
 KILL_TASK_ENV = "REPRO_RUNTIME_KILL_TASK"
 
+# Rounds of shard resubmission a process map may spend on crashed
+# workers before giving up: a task that kills its worker every time is
+# a bug, not bad luck.
+MAX_SHARD_RETRIES = 1
+
 
 @dataclass
 class DriverStats:
-    """What the last :meth:`ProcessDriver.run` had to do to finish.
+    """What the last :meth:`ProcessDriver.map` had to do to finish.
 
     ``attempts`` counts submissions per item index (1 everywhere on a
     clean run); ``retried_tasks`` lists the indices that were
@@ -73,27 +88,30 @@ class DriverStats:
 
 @runtime_checkable
 class Driver(Protocol):
-    """The placement protocol: ordered execution of a TaskSet."""
+    """The placement protocol: an ordered map of a task over items."""
 
     name: str
     workers: int
 
-    def run(self, taskset: TaskSet) -> list:
-        """Run every task; results in item order."""
+    def map(self, fn: Callable, context, items: Sequence) -> list:
+        """Apply ``fn(context, item)`` to every item; results in order."""
         ...
 
 
+def _check_workers(workers: int) -> int:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 class SerialDriver:
-    """Run every task in the calling thread against one built context."""
+    """Run every task in the calling thread against the given context."""
 
     name = "serial"
     workers = 1
 
-    def run(self, taskset: TaskSet) -> list:
-        if not taskset.items:
-            return []
-        context = taskset.context.build()
-        return [taskset.fn(context, item) for item in taskset.items]
+    def map(self, fn: Callable, context, items: Sequence) -> list:
+        return [fn(context, item) for item in items]
 
     def __repr__(self) -> str:
         return "SerialDriver()"
@@ -105,17 +123,14 @@ class ThreadDriver:
     name = "thread"
 
     def __init__(self, workers: int = 2):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        self.workers = _check_workers(workers)
 
-    def run(self, taskset: TaskSet) -> list:
-        items = taskset.items
+    def map(self, fn: Callable, context, items: Sequence) -> list:
+        items = list(items)
         if len(items) <= 1 or self.workers == 1:
-            return SerialDriver().run(taskset)
-        context = taskset.context.build()
+            return SerialDriver().map(fn, context, items)
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(partial(taskset.fn, context), items))
+            return list(pool.map(partial(fn, context), items))
 
     def __repr__(self) -> str:
         return f"ThreadDriver(workers={self.workers})"
@@ -143,15 +158,15 @@ def _maybe_injected_crash(index: int) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _run_task_shard(make_context, context_args, fn, indexed_items):
-    """Worker entry point: evaluate one shard against a rebuilt context.
+def _run_task_shard(context_bytes: bytes, fn, indexed_items):
+    """Worker entry point: evaluate one shard against the shipped context.
 
-    ``make_context(*context_args)`` builds (or fetches this process's
-    cached) task context — a :class:`~repro.api.session.ReleaseSession`
-    for sweeps, a plain picklable build context for sharded snapshot
-    generation — and the shard streams through ``fn(context, item)``.
+    The context arrives as the bytes the parent pickled once; unpickling
+    runs whatever the context pickled as (a session's rebuild recipe
+    fetches this process's cached session), and the shard streams
+    through ``fn(context, item)``.
     """
-    context = make_context(*context_args)
+    context = pickle.loads(context_bytes)
     results = []
     for index, item in indexed_items:
         _maybe_injected_crash(index)
@@ -162,14 +177,11 @@ def _run_task_shard(make_context, context_args, fn, indexed_items):
 class ProcessDriver:
     """Round-robin sharded process pool with bounded crash recovery.
 
-    ``start_method`` picks the :mod:`multiprocessing` context (``None``
-    uses the platform default — ``fork`` on Linux, which inherits the
-    imported modules and makes worker start cheap).  Items are sharded
-    round-robin so every worker gets an even slice in one submission,
-    amortizing whatever the context factory costs across its whole
-    shard.  With one item or one worker the map runs inline in the
-    calling process, context built the same way, so callers get a
-    single code path.
+    Items are sharded round-robin so every worker gets an even slice in
+    one submission, amortizing whatever unpickling the context costs
+    across its whole shard.  With one item or one worker the map runs
+    inline in the calling process against the context itself (nothing
+    is pickled), so callers get a single code path.
 
     **Crash recovery**: a dead worker poisons its
     :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -177,46 +189,32 @@ class ProcessDriver:
     single-worker pool — a crash costs only the shard it hit — and
     shards whose futures never delivered are resubmitted to a *fresh*
     pool.  Each round of resubmission consumes one of
-    ``max_shard_retries``; a shard that dies again past the budget
-    raises, because a task that kills its worker every time is a bug,
-    not bad luck.  Retried tasks
-    are bit-identical to their first attempt (self-seeded items,
-    content-derived seeds), so recovery is invisible in the results.
+    :data:`MAX_SHARD_RETRIES`; a shard that dies again past the budget
+    raises.  Retried tasks are bit-identical to their first attempt
+    (self-seeded items), so recovery is invisible in the results;
+    ``self.stats`` records what happened.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: int = 2,
-        start_method: str | None = None,
-        *,
-        max_shard_retries: int = 1,
-    ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.start_method = start_method
-        self.max_shard_retries = max_shard_retries
+    def __init__(self, workers: int = 2):
+        self.workers = _check_workers(workers)
         self.stats = DriverStats()
 
-    def run(self, taskset: TaskSet) -> list:
-        items = taskset.items
+    def map(self, fn: Callable, context, items: Sequence) -> list:
+        items = list(items)
         self.stats = DriverStats()
-        if not items:
-            return []
-        if len(items) == 1 or self.workers == 1:
-            context = taskset.context.build()
+        if len(items) <= 1 or self.workers == 1:
             self.stats.attempts = {i: 1 for i in range(len(items))}
-            return [taskset.fn(context, item) for item in items]
-        import multiprocessing
-
-        mp_context = multiprocessing.get_context(self.start_method)
+            return SerialDriver().map(fn, context, items)
+        # Pickled here, before any worker starts: a context that cannot
+        # travel fails fast, and every shard unpickles the same bytes.
+        context_bytes = pickle.dumps(context)
         n_workers = min(self.workers, len(items))
         indexed = list(enumerate(items))
         pending = [indexed[offset::n_workers] for offset in range(n_workers)]
         results: list = [None] * len(items)
-        retries_left = self.max_shard_retries
+        retries_left = MAX_SHARD_RETRIES
         while pending:
             for shard in pending:
                 for index, _ in shard:
@@ -231,16 +229,8 @@ class ProcessDriver:
                     (
                         shard,
                         pools.enter_context(
-                            ProcessPoolExecutor(
-                                max_workers=1, mp_context=mp_context
-                            )
-                        ).submit(
-                            _run_task_shard,
-                            taskset.context.make,
-                            taskset.context.args,
-                            taskset.fn,
-                            shard,
-                        ),
+                            ProcessPoolExecutor(max_workers=1)
+                        ).submit(_run_task_shard, context_bytes, fn, shard),
                     )
                     for shard in pending
                 ]
@@ -256,7 +246,7 @@ class ProcessDriver:
                     raise RuntimeError(
                         f"worker process(es) crashed repeatedly; task(s) "
                         f"{dead} failed after "
-                        f"{self.max_shard_retries + 1} attempt(s)"
+                        f"{MAX_SHARD_RETRIES + 1} attempt(s)"
                     )
                 retries_left -= 1
                 self.stats.shard_retries += len(crashed)
@@ -273,28 +263,38 @@ class ProcessDriver:
         return f"ProcessDriver(workers={self.workers})"
 
 
-def run_sharded(
-    fn: Callable,
-    items,
-    *,
-    workers: int,
-    make_context: Callable | None = None,
-    context_args: tuple = (),
-    start_method: str | None = None,
-) -> list:
-    """Ordered ``fn(context, item)`` map over a crash-tolerant process pool.
+DRIVER_NAMES = ("serial", "thread", "process")
 
-    The process-parallel core shared by the sweep engine's
-    :class:`~repro.engine.executors.ProcessExecutor` (whose context is
-    a per-process rebuilt session) and the sharded snapshot builder
-    (whose context is the picklable generation plan) — a thin wrapper
-    that describes the call as a :class:`TaskSet` and hands it to a
-    :class:`ProcessDriver`.
+_POOL_DRIVERS = {"thread": ThreadDriver, "process": ProcessDriver}
+
+
+def resolve_driver(executor=None, workers: int | None = None):
+    """Normalize the (executor, workers) knobs into a driver — or None.
+
+    ``None`` means "no parallelism requested": callers with a historical
+    serial path (e.g. :meth:`~repro.api.ReleaseSession.run_grid`) keep
+    it, and the sweep engine substitutes :class:`SerialDriver`.
+    Accepts a driver instance (returned as-is), one of
+    :data:`DRIVER_NAMES` (a pool name without a worker count gets
+    :func:`~repro.runtime.default_workers`), or just a worker count
+    (> 1 selects processes — the only driver with true CPU
+    parallelism).
     """
-    context = (
-        ContextSpec(make=make_context, args=tuple(context_args))
-        if make_context is not None
-        else ContextSpec(args=tuple(context_args))
-    )
-    driver = ProcessDriver(workers=workers, start_method=start_method)
-    return driver.run(TaskSet(fn=fn, items=tuple(items), context=context))
+    if executor is None:
+        if workers is None or workers <= 1:
+            return None
+        return ProcessDriver(workers=workers)
+    if isinstance(executor, str):
+        if executor == "serial":
+            return SerialDriver()
+        factory = _POOL_DRIVERS.get(executor)
+        if factory is None:
+            raise ValueError(
+                f"unknown executor {executor!r}; choose from {DRIVER_NAMES}"
+            )
+        return factory(workers if workers and workers > 0 else default_workers())
+    if not hasattr(executor, "map"):
+        raise TypeError(
+            f"executor must be a driver, name or None, got {executor!r}"
+        )
+    return executor

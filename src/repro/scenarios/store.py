@@ -269,7 +269,6 @@ class SnapshotStore:
         workers: int | None = None,
         fingerprint: str | None = None,
         overwrite: bool = False,
-        start_method: str | None = None,
     ) -> Path:
         """Generate ``config``'s snapshot *directly into* the store, sharded.
 
@@ -323,7 +322,6 @@ class SnapshotStore:
                 chunk_jobs=config.chunk_jobs,
                 paths=paths,
                 workers=workers,
-                start_method=start_method,
             )
             self._write_geography(staging, plan.geography)
             self._write_meta(
@@ -721,7 +719,6 @@ class SnapshotStore:
         workers: int | None = None,
         fingerprint: str | None = None,
         overwrite: bool = False,
-        start_method: str | None = None,
     ) -> Path:
         """Generate missing panel years *directly into* the store, sharded.
 
@@ -762,7 +759,6 @@ class SnapshotStore:
                 year,
                 workers=workers,
                 overwrite=overwrite,
-                start_method=start_method,
             )
         return final
 
@@ -819,7 +815,6 @@ class SnapshotStore:
         *,
         workers: int,
         overwrite: bool,
-        start_method: str | None,
     ) -> None:
         worker_columns = list(WORKER_COLUMNS)
 
@@ -840,7 +835,6 @@ class SnapshotStore:
                 chunk_jobs=plan.config.base.chunk_jobs,
                 paths=paths,
                 workers=workers,
-                start_method=start_method,
             )
             self._write_year_meta(
                 staging,

@@ -1,31 +1,29 @@
-"""Executor equivalence: serial, thread and process runs are bit-identical.
+"""Driver equivalence: serial, thread and process runs are bit-identical.
 
-The acceptance gate of the sweep engine: every executor must produce the
-same point values as :class:`SerialExecutor` on a Figure-1 grid (each
+The acceptance gate of the sweep engine: every driver must produce the
+same point values as :class:`SerialDriver` on a Figure-1 grid (each
 point's noise stream is self-seeded, so scheduling cannot change it),
 and parallel ``run_grid`` releases must match the serial noisy matrices
-with identical ledger accounting.
+with identical ledger accounting.  A session reaches process workers as
+its pickled rebuild recipe, pinned here too.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.api import session as session_module
 from repro.api.request import ReleaseRequest
 from repro.api.session import ReleaseSession
-from repro.engine.executors import (
-    MAX_WORKERS_ENV,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    default_workers,
-    resolve_executor,
-    run_sharded,
-)
+from repro.core.params import EREEParams
 from repro.engine.plan import figure_plan
 from repro.engine.points import points_identical
 from repro.engine.sweep import run_plan
 from repro.experiments.config import MECHANISM_NAMES
 from repro.experiments.workloads import WORKLOAD_1
+from repro.runtime import ProcessDriver, SerialDriver, ThreadDriver, drivers
+from repro.runtime.drivers import resolve_driver
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -44,7 +42,7 @@ def figure1_plan(engine_config):
 @pytest.fixture(scope="module")
 def serial_outcome(figure1_plan, session):
     return run_plan(
-        figure1_plan, session, executor=SerialExecutor(), merge_spend=False
+        figure1_plan, session, executor=SerialDriver(), merge_spend=False
     )
 
 
@@ -62,7 +60,7 @@ class TestFigureGridEquivalence:
         outcome = run_plan(
             figure1_plan,
             session,
-            executor=ThreadExecutor(workers=2),
+            executor=ThreadDriver(workers=2),
             merge_spend=False,
         )
         assert_series_identical(serial_outcome.points, outcome.points)
@@ -73,7 +71,7 @@ class TestFigureGridEquivalence:
         outcome = run_plan(
             figure1_plan,
             session,
-            executor=ProcessExecutor(workers=2),
+            executor=ProcessDriver(workers=2),
             merge_spend=False,
         )
         assert_series_identical(serial_outcome.points, outcome.points)
@@ -85,7 +83,7 @@ class TestFigureGridEquivalence:
         parallel = run_plan(
             figure1_plan,
             session,
-            executor=ProcessExecutor(workers=2),
+            executor=ProcessDriver(workers=2),
             merge_spend=False,
         )
         assert parallel.spends == serial_outcome.spends
@@ -114,9 +112,9 @@ class TestRunGridEquivalence:
         self, session, requests, serial_results, executor_kind
     ):
         executor = (
-            ThreadExecutor(workers=2)
+            ThreadDriver(workers=2)
             if executor_kind == "thread"
-            else ProcessExecutor(workers=2)
+            else ProcessDriver(workers=2)
         )
         before = len(session.ledger.entries)
         results = session.run_grid(requests, executor=executor)
@@ -135,7 +133,76 @@ class TestRunGridEquivalence:
             np.testing.assert_array_equal(a.noisy, b.noisy)
 
 
+def _echo_item(session, item):
+    """Module-level task so process pools can pickle it by reference."""
+    return item
+
+
+@pytest.fixture(scope="module")
+def wrapped_session(engine_config):
+    """A session over an explicitly provided (not config-built) dataset."""
+    from repro.data.generator import generate
+
+    return ReleaseSession(engine_config, dataset=generate(engine_config.data))
+
+
+class TestSessionRecipe:
+    """A session pickles as ``(config, worker_attrs, store spec)``."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_worker_cache(self, monkeypatch):
+        monkeypatch.setattr(session_module, "_WORKER_SESSION", None)
+
+    def test_round_trip_rebuilds_an_identical_session(self, session):
+        clone = pickle.loads(pickle.dumps(session))
+        assert clone is not session
+        assert clone.snapshot_fingerprint == session.snapshot_fingerprint
+        assert clone.ledger.entries == []
+        params = EREEParams(0.1, 2.0, 0.05)
+        ours = session.evaluate_point_outcome(
+            WORKLOAD_1, "smooth-laplace", params, seed=7
+        )
+        theirs = clone.evaluate_point_outcome(
+            WORKLOAD_1, "smooth-laplace", params, seed=7
+        )
+        assert points_identical(ours[0], theirs[0])
+        assert ours[1] == theirs[1]
+        assert clone.ledger.entries == []
+
+    def test_second_unpickle_returns_the_cached_session(self, session):
+        first = pickle.loads(pickle.dumps(session))
+        assert pickle.loads(pickle.dumps(session)) is first
+
+
 class TestProvidedDatasetGuard:
+    def test_pickling_refuses_before_any_worker_starts(
+        self, wrapped_session, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(drivers, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="provided dataset"):
+            pickle.dumps(wrapped_session)
+        with pytest.raises(ValueError, match="provided dataset"):
+            ProcessDriver(workers=2).map(_echo_item, wrapped_session, [1, 2])
+
+    def test_one_item_process_map_runs_inline(
+        self, engine_config, wrapped_session
+    ):
+        """Nothing needs rebuilding, so nothing is refused."""
+        from repro.engine.sweep import evaluate_point_spec
+
+        [spec] = figure_plan("finding-6", engine_config).points[:1]
+        serial = SerialDriver().map(
+            evaluate_point_spec, wrapped_session, [spec]
+        )
+        inline = ProcessDriver(workers=2).map(
+            evaluate_point_spec, wrapped_session, [spec]
+        )
+        assert points_identical(serial[0][0], inline[0][0])
+        assert serial[0][1] == inline[0][1]
+
     def test_process_executor_refuses_provided_dataset_sessions(
         self, engine_config
     ):
@@ -147,7 +214,7 @@ class TestProvidedDatasetGuard:
         )
         assert wrapped.dataset_provided
         with pytest.raises(ValueError, match="provided dataset"):
-            ProcessExecutor(workers=2).map(
+            ProcessDriver(workers=2).map(
                 lambda session, item: item, wrapped, [1, 2]
             )
 
@@ -164,7 +231,7 @@ class TestProvidedDatasetGuard:
         plan = figure_plan("finding-6", engine_config)
         serial = run_plan(plan, wrapped, merge_spend=False)
         threaded = run_plan(
-            plan, wrapped, executor=ThreadExecutor(workers=2), merge_spend=False
+            plan, wrapped, executor=ThreadDriver(workers=2), merge_spend=False
         )
         assert_series_identical(serial.points, threaded.points)
 
@@ -187,112 +254,42 @@ class TestProvidedDatasetGuard:
         assert wrapped.snapshot_fingerprint == again.snapshot_fingerprint
 
 
-class TestDefaultWorkers:
-    """default_workers scales with the machine; the env var bounds it."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-
-    def test_scales_with_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.executors.os.cpu_count", lambda: 64)
-        assert default_workers() == 64
-
-    def test_floor_of_two_on_small_machines(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.executors.os.cpu_count", lambda: 1)
-        assert default_workers() == 2
-        monkeypatch.setattr(
-            "repro.engine.executors.os.cpu_count", lambda: None
-        )
-        assert default_workers() == 2
-
-    def test_env_override_caps_the_count(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.executors.os.cpu_count", lambda: 64)
-        monkeypatch.setenv(MAX_WORKERS_ENV, "8")
-        assert default_workers() == 8
-        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-        assert default_workers() == 1
-
-    def test_env_override_never_raises_the_count(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.executors.os.cpu_count", lambda: 2)
-        monkeypatch.setenv(MAX_WORKERS_ENV, "128")
-        assert default_workers() == 2
-
-    def test_invalid_env_override_rejected(self, monkeypatch):
-        monkeypatch.setenv(MAX_WORKERS_ENV, "many")
-        with pytest.raises(ValueError, match=MAX_WORKERS_ENV):
-            default_workers()
-
-
-def _add_context(context, item):
-    """Module-level task so process pools can pickle it by reference."""
-    return context + item
-
-
-class TestRunSharded:
-    """The generic process-map core: ordered, inline fallback, validated."""
-
-    def test_inline_when_one_worker(self):
-        result = run_sharded(
-            _add_context, [1, 2, 3], workers=1, context_args=(10,)
-        )
-        assert result == [11, 12, 13]
-
-    def test_process_pool_preserves_item_order(self):
-        result = run_sharded(
-            _add_context, list(range(7)), workers=3, context_args=(100,)
-        )
-        assert result == [100 + i for i in range(7)]
-
-    def test_empty_items(self):
-        assert run_sharded(_add_context, [], workers=4, context_args=(0,)) == []
-
-    def test_single_item_runs_inline(self):
-        assert run_sharded(
-            _add_context, [5], workers=4, context_args=(1,)
-        ) == [6]
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_sharded(_add_context, [1], workers=0, context_args=(0,))
-
-
 class TestResolveExecutor:
     def test_none_means_no_parallelism(self):
-        assert resolve_executor(None, None) is None
-        assert resolve_executor(None, 1) is None
+        assert resolve_driver(None, None) is None
+        assert resolve_driver(None, 1) is None
 
     def test_pool_name_without_workers_gets_a_default_pool(self):
         """`--executor process` alone must not silently run serial."""
-        executor = resolve_executor("process", None)
-        assert isinstance(executor, ProcessExecutor)
+        executor = resolve_driver("process", None)
+        assert isinstance(executor, ProcessDriver)
         assert executor.workers >= 2
-        assert resolve_executor("thread", None).workers >= 2
+        assert resolve_driver("thread", None).workers >= 2
 
     def test_worker_count_selects_processes(self):
-        executor = resolve_executor(None, 3)
-        assert isinstance(executor, ProcessExecutor)
+        executor = resolve_driver(None, 3)
+        assert isinstance(executor, ProcessDriver)
         assert executor.workers == 3
 
     def test_names(self):
-        assert isinstance(resolve_executor("serial", 4), SerialExecutor)
-        assert resolve_executor("thread", 4).workers == 4
-        assert resolve_executor("process", 2).workers == 2
+        assert isinstance(resolve_driver("serial", 4), SerialDriver)
+        assert resolve_driver("thread", 4).workers == 4
+        assert resolve_driver("process", 2).workers == 2
 
     def test_instances_pass_through(self):
-        executor = ThreadExecutor(workers=5)
-        assert resolve_executor(executor, 2) is executor
+        executor = ThreadDriver(workers=5)
+        assert resolve_driver(executor, 2) is executor
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("gpu")
+            resolve_driver("gpu")
 
     def test_invalid_type_rejected(self):
         with pytest.raises(TypeError):
-            resolve_executor(42)
+            resolve_driver(42)
 
     def test_worker_counts_validated(self):
         with pytest.raises(ValueError):
-            ThreadExecutor(workers=0)
+            ThreadDriver(workers=0)
         with pytest.raises(ValueError):
-            ProcessExecutor(workers=0)
+            ProcessDriver(workers=0)

@@ -19,6 +19,7 @@ from repro.engine.plan import fused_families, grid_plan
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import guided_blocks, lease_blocks, run_plan
+from repro.runtime import ProcessDriver
 
 from .test_golden import FIGURE_GOLDEN, run_figure_plan
 
@@ -388,15 +389,13 @@ class TestWorkerProfile:
     its stage profile back and the parent merges a per-worker view."""
 
     def test_process_pool_profile_has_per_worker(self, session):
-        from repro.engine.executors import ProcessExecutor
-
         plan = family_plan(session, n_trials=2)
         outcome = run_plan(
             plan,
             session,
             merge_spend=False,
             fused="family",
-            executor=ProcessExecutor(workers=2),
+            executor=ProcessDriver(workers=2),
             profile=True,
         )
         prof = outcome.profile
