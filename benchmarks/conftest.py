@@ -1,6 +1,6 @@
 """Shared benchmark fixtures.
 
-One session-scoped experiment context (a ~150k-job synthetic snapshot
+One session-scoped release session (a ~150k-job synthetic snapshot
 with a fitted SDL system) backs every figure benchmark, and every
 benchmark writes the regenerated data series to ``benchmarks/out/`` so
 the paper-shaped rows survive pytest's output capture.
@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.session import ReleaseSession
 from repro.data.generator import SyntheticConfig
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import ExperimentContext
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -30,8 +30,8 @@ def bench_config() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def context(bench_config) -> ExperimentContext:
-    return ExperimentContext(bench_config)
+def context(bench_config) -> ReleaseSession:
+    return ReleaseSession(bench_config)
 
 
 @pytest.fixture(scope="session")

@@ -70,8 +70,8 @@ from repro.sdl.noise_infusion import InputNoiseInfusion
 from repro.util import derive_seed
 
 if TYPE_CHECKING:  # annotation-only: repro.experiments sits above this
-    # module (its package __init__ imports the session for the
-    # ExperimentContext shim), so importing it at runtime would cycle.
+    # module (its figure and table modules import the session), so
+    # importing it at runtime would cycle.
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.workloads import Workload
 
@@ -85,9 +85,9 @@ __all__ = [
 class ReleaseSession:
     """One snapshot, one SDL baseline, one ledger — many releases.
 
-    ``config`` seeds the synthetic snapshot and the SDL fit exactly like
-    the historical ``ExperimentContext`` (same derived seeds, so figures
-    regenerated through the session are bit-identical).  Pass ``dataset``
+    ``config`` seeds the synthetic snapshot and the SDL fit from derived
+    seeds, so every session built from one config holds bit-identical
+    data and regenerates bit-identical figures.  Pass ``dataset``
     to wrap an existing snapshot instead of generating one.
 
     ``budget``/``delta_budget`` arm the privacy ledger: every executed

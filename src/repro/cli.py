@@ -175,8 +175,9 @@ def _add_engine_arguments(parser, *, claims: bool = True):
     """The sweep-engine knobs shared by figures/tables/sweep.
 
     ``claims=False`` omits the cooperative-drain flags for commands
-    whose compute does not go through ``run_plan`` (Table 3 drains a
-    request grid, not a sweep plan).
+    that do not take them: ``repro tables`` drains Table 3's two small
+    sweep plans through ``run_plan``, but ``table3_rows`` exposes no
+    claim options, so its drains are never shared across processes.
     """
     parser.add_argument(
         "--snapshot-dir",

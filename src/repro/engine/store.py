@@ -48,10 +48,10 @@ def content_key(payload: dict, length: int | None = None) -> str:
     """The canonical content hash used for every store key.
 
     One shared idiom — sorted-key JSON through SHA-256 — so point specs
-    (:meth:`repro.engine.plan.PointSpec.key`), snapshot fingerprints and
-    ad-hoc row caches (Table 3) cannot drift onto incompatible hashing
-    conventions.  ``length`` truncates the hex digest (fingerprints use
-    16 chars; full keys use all 64).
+    (:meth:`repro.engine.plan.PointSpec.key`), family member keys,
+    claim-block leases and snapshot fingerprints cannot drift onto
+    incompatible hashing conventions.  ``length`` truncates the hex
+    digest (fingerprints use 16 chars; full keys use all 64).
     """
     canonical = json.dumps(payload, sort_keys=True, default=repr)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()

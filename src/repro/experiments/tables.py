@@ -1,4 +1,4 @@
-"""Tables 1 and 2 of the paper, plus the session accuracy summary.
+"""Tables 1 and 2 of the paper, plus the session accuracy summary (Table 3).
 
 Table 1 is the qualitative definitions × requirements matrix (encoded in
 :mod:`repro.core.definitions`).  Table 2 gives, per (α, δ), the minimum ε
@@ -8,19 +8,22 @@ comparison (the published δ = .05 column is internally consistent with
 δ ≈ .005; see EXPERIMENTS.md).
 
 Table 3 is not in the paper: it is an empirical per-mechanism accuracy
-summary of the Workload-1 marginal on one snapshot, produced through the
-:class:`repro.api.ReleaseSession` facade (one shared snapshot, the
-batched trial engine, and ledger accounting) so the ``tables`` CLI
-exercises the same path as ``figures``.
+summary of the Workload-1 marginal on one snapshot.  It runs as two
+sweep plans (L1 ratio and Spearman ρ over one grid) through the same
+engine as the figures — :func:`repro.engine.sweep.run_plan` over one
+shared :class:`repro.api.ReleaseSession` — so the ``tables`` CLI
+shares the figures' placement, store keys, resume and ledger
+accounting.
 """
 
 from __future__ import annotations
 
-from repro.api.request import ReleaseRequest
 from repro.api.session import ReleaseSession
 from repro.core.definitions import table1_rows
 from repro.core.params import min_epsilon
-from repro.engine.sweep import resolve_fused
+from repro.engine.plan import grid_plan
+from repro.engine.sweep import run_plan
+from repro.experiments.config import MECHANISM_NAMES
 from repro.experiments.workloads import WORKLOAD_1
 from repro.util import format_table
 
@@ -90,105 +93,6 @@ TABLE3_EPSILONS: tuple[float, ...] = (1.0, 2.0, 4.0)
 TABLE3_DELTA: float = 0.05
 
 
-def _table3_row_key(
-    fingerprint: str, request: ReleaseRequest, family: dict | None = None
-) -> str:
-    """Content-address of one Table-3 row for the result store.
-
-    ``family`` carries the family-evaluation token (family seed + the
-    family's (α, ε) members): family rows come from a different noise
-    stream than per-request rows, so their cache keys must never
-    collide.
-    """
-    from repro.engine.store import content_key
-
-    payload = {
-        "kind": "table3-row",
-        "fingerprint": fingerprint,
-        "attrs": list(request.attrs),
-        "mechanism": request.mechanism,
-        "alpha": request.alpha,
-        "epsilon": request.epsilon,
-        "delta": request.delta,
-        "budget_style": request.budget_style,
-        "n_trials": request.n_trials,
-        "seed": request.seed,
-    }
-    if family is not None:
-        payload["family"] = family
-    return content_key(payload)
-
-
-def _table3_rows_family(
-    session: ReleaseSession,
-    requests,
-    rows: list,
-    fingerprint: str,
-    delta: float,
-    n_trials: int,
-    store,
-    resume: bool,
-) -> list[dict]:
-    """Fill the pending Table-3 rows one mechanism family at a time.
-
-    One unit-noise draw per mechanism serves *both* metrics of every
-    (α, ε) row (L1 ratio and Spearman reduce from the same noisy
-    matrices), debiting once per computed feasible row — the same
-    composed budget the per-request path debits.  Rows already filled
-    (infeasible, or replayed from the store) are masked out of the
-    family's reduction and debit nothing.
-    """
-    from repro.util import derive_seed
-
-    families: dict[str, list[int]] = {}
-    for index, request in enumerate(requests):
-        families.setdefault(request.mechanism, []).append(index)
-
-    for mechanism, indices in families.items():
-        members = [(requests[i].alpha, requests[i].epsilon) for i in indices]
-        seed = derive_seed(session.config.seed, f"table3-family:{mechanism}")
-        token = {"family_seed": seed, "members": [list(m) for m in members]}
-        keys = [
-            _table3_row_key(fingerprint, requests[i], family=token)
-            for i in indices
-        ]
-        if store is not None and resume:
-            for i, key in zip(indices, keys):
-                payload = None if rows[i] is not None else store.get(key)
-                if payload is not None and "row" in payload:
-                    rows[i] = payload["row"]
-        evaluate = [rows[i] is None for i in indices]
-        if not any(evaluate):
-            continue
-        values, spends = session.evaluate_family_outcome(
-            WORKLOAD_1,
-            mechanism,
-            members=members,
-            delta=delta,
-            metrics=("l1-ratio", "spearman"),
-            n_trials=n_trials,
-            seed=seed,
-            evaluate=evaluate,
-        )
-        for pos, (i, key) in enumerate(zip(indices, keys)):
-            if not evaluate[pos]:
-                continue
-            l1, rho = values["l1-ratio"][pos], values["spearman"][pos]
-            rows[i] = {
-                "mechanism": mechanism,
-                "alpha": requests[i].alpha,
-                "epsilon": requests[i].epsilon,
-                "feasible": l1.feasible,
-                "l1_ratio": l1.overall,
-                "spearman": rho.overall,
-            }
-            if spends[pos] is not None:
-                session.ledger.record(spends[pos])
-            if store is not None:
-                store.put(key, {"row": rows[i]})
-    return rows
-
-
 def table3_rows(
     session: ReleaseSession,
     alphas=(TABLE3_ALPHA,),
@@ -204,95 +108,59 @@ def table3_rows(
 ) -> list[dict]:
     """Empirical accuracy rows from one shared release session.
 
-    Every (mechanism, α, ε) point of the grid runs as a declarative
-    :class:`~repro.api.request.ReleaseRequest` against the *same* cached
-    snapshot (the marginal's true counts, mask and xv are computed once
-    for the whole table); infeasible points are reported, not skipped.
+    The table is two sweep plans over the same (mechanism × α × ε)
+    grid, one per metric, each run through
+    :func:`~repro.engine.sweep.run_plan` with the caller's
+    ``executor``/``workers``/``store``/``resume``/``fused`` — the same
+    drain loop, store keys and resume as the figures.  Infeasible points
+    are reported (NaN values), not skipped, and debit nothing.
 
-    The feasible requests submit to :meth:`ReleaseSession.run_grid`, so
-    ``executor``/``workers`` parallelize the grid with exact ledger
-    accounting; with a ``store`` each computed row is cached under a
-    content hash and ``resume=True`` replays completed rows without
-    touching the data (cache hits debit nothing).
-
-    ``fused=True`` (or ``"family"``) evaluates each mechanism's α×ε
-    rows from one shared unit-noise draw (both metrics from the same
-    matrices) instead of one release per row — statistically
-    equivalent, different RNG streams, distinct cache keys; the default
-    path is unchanged.
+    A row is one release, debited once.  A point's seed derives from
+    ``table3:<mechanism>:<α>:<ε>``, not from the metric, so a row's L1
+    and Spearman points draw the same noise — and under
+    ``fused="family"`` their two families share one ``family_seed``.
+    The L1 plan therefore records the spend (``merge_spend=True``) and
+    the Spearman plan records none; a resumed row debits only if its L1
+    point is recomputed.
     """
-    family = resolve_fused(fused)
     if n_trials is None:
         n_trials = session.config.n_trials
-    from repro.engine.evaluate import mechanism_is_feasible
-    from repro.experiments.config import MECHANISM_NAMES
-
-    requests = ReleaseRequest.grid(
-        WORKLOAD_1.attrs,
-        MECHANISM_NAMES,
-        alphas,
-        epsilons,
-        delta=delta,
-        n_trials=n_trials,
-        seed=session.config.seed,
-        tag="table3",
-    )
-    fingerprint = session.snapshot_fingerprint
-    stats = session.statistics(WORKLOAD_1)
-    rows: list[dict | None] = [None] * len(requests)
-    pending: list[int] = []
-    for index, request in enumerate(requests):
-        per_cell = stats.per_cell_params_of(request.params)
-        if not mechanism_is_feasible(request.mechanism, per_cell):
-            rows[index] = {
-                "mechanism": request.mechanism,
-                "alpha": request.alpha,
-                "epsilon": request.epsilon,
-                "feasible": False,
-                "l1_ratio": float("nan"),
-                "spearman": float("nan"),
-            }
-            continue
-        if family:
-            continue  # the family path resumes under family row keys
-        if store is not None and resume:
-            payload = store.get(_table3_row_key(fingerprint, request))
-            if payload is not None and "row" in payload:
-                rows[index] = payload["row"]
-                continue
-        pending.append(index)
-
-    if family:
-        return _table3_rows_family(
+    l1, rho = (
+        run_plan(
+            grid_plan(
+                WORKLOAD_1.name,
+                metric,
+                MECHANISM_NAMES,
+                alphas,
+                epsilons,
+                fingerprint=session.snapshot_fingerprint,
+                delta=delta,
+                n_trials=n_trials,
+                seed=session.config.seed,
+                tag="table3",
+                batch_size=session.config.trials_batch,
+            ),
             session,
-            requests,
-            rows,
-            fingerprint,
-            delta,
-            n_trials,
-            store,
-            resume,
-        )
-
-    results = session.run_grid(
-        [requests[index] for index in pending],
-        executor=executor,
-        workers=workers,
+            executor=executor,
+            workers=workers,
+            store=store,
+            resume=resume,
+            merge_spend=metric == "l1-ratio",
+            fused=fused,
+        ).points
+        for metric in ("l1-ratio", "spearman")
     )
-    for index, result in zip(pending, results):
-        request = requests[index]
-        row = {
-            "mechanism": request.mechanism,
-            "alpha": request.alpha,
-            "epsilon": request.epsilon,
-            "feasible": True,
-            "l1_ratio": result.l1_ratio(),
-            "spearman": result.spearman(),
+    return [
+        {
+            "mechanism": a.mechanism,
+            "alpha": a.alpha,
+            "epsilon": a.epsilon,
+            "feasible": a.feasible,
+            "l1_ratio": a.overall,
+            "spearman": b.overall,
         }
-        rows[index] = row
-        if store is not None:
-            store.put(_table3_row_key(fingerprint, request), {"row": row})
-    return rows
+        for a, b in zip(l1, rho)
+    ]
 
 
 def table3_text(

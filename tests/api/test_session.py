@@ -9,7 +9,7 @@ from repro.core import EREEParams, marginal_budget
 from repro.dp.composition import PrivacyBudgetExceeded
 from repro.experiments import WORKLOAD_1, figure1
 from repro.experiments.config import MECHANISM_NAMES, ExperimentConfig
-from repro.experiments.runner import mechanism_is_feasible
+from repro.engine.evaluate import mechanism_is_feasible
 
 
 def _request(**overrides):

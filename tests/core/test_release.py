@@ -4,8 +4,8 @@ xv statistics, and the strong-mode worker-attribute ablation)."""
 import numpy as np
 import pytest
 
+from repro.api import create_mechanism
 from repro.core import EREEParams, release_marginal
-from repro.core.release import make_mechanism
 from repro.db import Marginal, per_establishment_counts
 
 
@@ -16,16 +16,16 @@ def params():
 
 class TestMakeMechanism:
     def test_known_names(self, params):
-        assert make_mechanism("log-laplace", params).name == "Log-Laplace"
-        assert make_mechanism("smooth-gamma", params).name == "Smooth Gamma"
-        assert make_mechanism("smooth-laplace", params).name == "Smooth Laplace"
+        assert create_mechanism("log-laplace", params).name == "Log-Laplace"
+        assert create_mechanism("smooth-gamma", params).name == "Smooth Gamma"
+        assert create_mechanism("smooth-laplace", params).name == "Smooth Laplace"
 
     def test_unknown_name(self, params):
         with pytest.raises(ValueError, match="unknown mechanism"):
-            make_mechanism("gaussian", params)
+            create_mechanism("gaussian", params)
 
     def test_options_forwarded(self, params):
-        mechanism = make_mechanism("log-laplace", params, debias=True)
+        mechanism = create_mechanism("log-laplace", params, debias=True)
         assert mechanism.debias
 
 

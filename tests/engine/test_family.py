@@ -418,9 +418,9 @@ class TestWorkerProfile:
 
 
 class TestFamilyTable3:
-    """Table 3's fused branch: one family per mechanism serving both
-    metrics, the same debits as the per-request rows, member-precise
-    resume."""
+    """Table 3 under ``fused="family"``: each metric plan runs one family
+    per mechanism, both plans share the family seed, and the table debits
+    what the default rows debit."""
 
     def test_rows_and_debits_match_default(self, engine_config, tmp_path):
         from repro.api.session import ReleaseSession
@@ -453,3 +453,19 @@ class TestFamilyTable3:
         )
         assert again == fused
         assert not resumed.ledger.entries  # cache hits debit nothing
+
+    def test_process_driver_maps_the_families(self, engine_config):
+        from repro.api.session import ReleaseSession
+        from repro.experiments.tables import table3_rows
+
+        serial_session = ReleaseSession(engine_config)
+        serial = table3_rows(serial_session, n_trials=2, fused="family")
+        driver = ProcessDriver(workers=2)
+        pooled_session = ReleaseSession(engine_config)
+        pooled = table3_rows(
+            pooled_session, n_trials=2, fused="family", executor=driver
+        )
+        assert pooled == serial
+        # The last map was the Spearman plan's: one task per mechanism.
+        assert driver.stats.attempts == {0: 1, 1: 1, 2: 1}
+        assert pooled_session.ledger.entries == serial_session.ledger.entries

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.core.params import EREEParams
-from repro.engine.plan import figure_plan
+from repro.engine.plan import METRICS, figure_plan, grid_plan
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import evaluate_point_spec, resolve_workload, run_plan
 from repro.experiments.config import MECHANISM_NAMES
 from repro.experiments.figures import figure1, finding6
-from repro.experiments.tables import table3_rows
+from repro.experiments.tables import TABLE3_DELTA, table3_rows
 from repro.experiments.workloads import WORKLOAD_1, WORKLOAD_3
 from repro.runtime import ProcessDriver, ThreadDriver
 from repro.util import derive_seed
@@ -224,26 +224,90 @@ def assert_rows_equal(xs, ys):
                 assert va == vb, f"{key}: {va} != {vb}"
 
 
+# Two alphas and two epsilons: smooth mechanisms are infeasible at
+# (alpha=0.2, eps=0.5), so the grid mixes feasible and infeasible rows.
+TABLE3_GRID = {"alphas": (0.05, 0.2), "epsilons": (0.5, 2.0), "n_trials": 2}
+
+
+def table3_plan(session, metric):
+    """The sweep plan behind one metric column of ``table3_rows``."""
+    return grid_plan(
+        "workload-1",
+        metric,
+        MECHANISM_NAMES,
+        TABLE3_GRID["alphas"],
+        TABLE3_GRID["epsilons"],
+        fingerprint=session.snapshot_fingerprint,
+        delta=TABLE3_DELTA,
+        n_trials=TABLE3_GRID["n_trials"],
+        seed=session.config.seed,
+        tag="table3",
+        batch_size=session.config.trials_batch,
+    )
+
+
 class TestTable3Engine:
+    """Table 3 is two grid plans (L1 ratio, Spearman) through
+    ``run_plan``: the figures' store keys, resume, placement and ledger
+    rules, with one debit per release."""
+
     def test_rows_match_serial_and_cache_replays(self, session, tmp_path):
-        serial = table3_rows(session, epsilons=(1.0, 2.0), n_trials=2)
+        serial = table3_rows(session, **TABLE3_GRID)
         store = ResultStore(tmp_path)
         computed = table3_rows(
-            session,
-            epsilons=(1.0, 2.0),
-            n_trials=2,
-            workers=2,
-            store=store,
-            resume=True,
+            session, **TABLE3_GRID, workers=2, store=store, resume=True
         )
         assert_rows_equal(computed, serial)
+        # One stored point per metric per row, infeasible rows included.
+        assert store.writes == 2 * len(serial)
+        replay_store = ResultStore(tmp_path)
+        before = len(session.ledger.entries)
         replayed = table3_rows(
-            session,
-            epsilons=(1.0, 2.0),
-            n_trials=2,
-            store=ResultStore(tmp_path),
-            resume=True,
+            session, **TABLE3_GRID, store=replay_store, resume=True
         )
         assert_rows_equal(replayed, serial)
-        feasible = sum(1 for row in serial if row["feasible"])
-        assert store.writes == feasible
+        assert replay_store.writes == 0
+        assert len(session.ledger.entries) == before
+
+    def test_rows_are_the_grid_plans_points(self, session, tmp_path):
+        """Points stored by plain ``run_plan`` drains of the table's two
+        grid plans are exactly what the table resumes: one key scheme."""
+        store = ResultStore(tmp_path)
+        for metric in METRICS:
+            run_plan(
+                table3_plan(session, metric),
+                session,
+                store=store,
+                merge_spend=False,
+            )
+        writes, before = store.writes, len(session.ledger.entries)
+        rows = table3_rows(session, **TABLE3_GRID, store=store, resume=True)
+        assert store.writes == writes
+        assert store.hits == 2 * len(rows)
+        assert len(session.ledger.entries) == before
+        assert_rows_equal(rows, table3_rows(session, **TABLE3_GRID))
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_resume_debits_only_recomputed_l1_points(
+        self, session, tmp_path, metric
+    ):
+        """A row is one release: its L1 point carries the debit, its
+        Spearman point (same seed, same noise) never does."""
+        full = table3_rows(session, **TABLE3_GRID, store=ResultStore(tmp_path))
+        store = ResultStore(tmp_path)
+        plan = table3_plan(session, metric)
+        for key in plan.keys():
+            store.path_for(key).unlink()
+        before = len(session.ledger.entries)
+        resumed = table3_rows(session, **TABLE3_GRID, store=store, resume=True)
+        assert_rows_equal(resumed, full)
+        assert store.writes == len(plan)
+        debits = session.ledger.entries[before:]
+        if metric == "spearman":
+            assert not debits
+        else:
+            feasible = [row for row in full if row["feasible"]]
+            assert 0 < len(feasible) < len(full)
+            assert [(e.mechanism, e.epsilon) for e in debits] == [
+                (row["mechanism"], row["epsilon"]) for row in feasible
+            ]
